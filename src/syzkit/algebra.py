@@ -398,9 +398,6 @@ class AlgebraPresentation:
         return sum(1 for i in self.basis_by_source[source]
                    if self.basis[i].target == target)
 
-    def is_monomial(self):
-        return all(r.kind == "zero" for r in self.relations)
-
     def opposite(self):
         """Presentation over the reversed quiver; right modules are left modules over it."""
         if self._op is None:

@@ -14,7 +14,7 @@ from .errors import SyzkitError
 from .formats import (emit_algebra, emit_valued_quiver, parse_algebra,
                       parse_module, parse_order)
 from .graphs import layered_graph
-from .homology import pdim, resolve
+from .homology import injective_indecomposables, pdim, resolve
 from .modules import direct_sum, simple_module
 from .orders import (ExponentMatrix, gldim_certificate, order_report,
                      presentation_from_valued_quiver,
@@ -50,11 +50,7 @@ def _root_module(args, algebra):
         total, _, _ = direct_sum(simples)
         return total, "semisimple quotient"
     if args.t == "cogenerator":
-        from .modules import projective_module
-        other = "left" if args.side == "right" else "right"
-        duals = [projective_module(algebra, v, other).dual()
-                 for v in algebra.quiver.vertices]
-        total, _, _ = direct_sum(duals)
+        total, _, _ = direct_sum(injective_indecomposables(algebra, args.side))
         return total, "injective cogenerator"
     return _load_module(args.t, algebra, args.side), args.t
 

@@ -452,7 +452,7 @@ def modules_isomorphic(m, n):
 class IsoClass:
     """A registered isomorphism class of indecomposables."""
 
-    __slots__ = ("id", "module", "dims", "_projective", "omega", "cover_counts")
+    __slots__ = ("id", "module", "dims", "_projective", "omega")
 
     def __init__(self, class_id, module):
         self.id = class_id
@@ -460,7 +460,6 @@ class IsoClass:
         self.dims = module.dims
         self._projective = None
         self.omega = None          # Counter of class ids, filled by homology
-        self.cover_counts = None   # top multiplicities, filled on demand
 
     def is_projective(self):
         """Projectivity via the cover dimension count: the projective cover

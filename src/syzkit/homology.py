@@ -6,9 +6,12 @@ are iso classes of indecomposable syzygy summands, with an edge A -> B when B
 is a summand of the first syzygy of A.  A directed cycle reachable from the
 module's own summand classes forces summand recurrence in all later degrees
 (the chain argument), certifying infinite projective dimension; a closed
-acyclic graph yields the exact finite value.
+acyclic graph yields the exact finite value.  pdim, idim and the syzygy
+catalogs of repetition share one explorer of this graph (explore_classes) and
+one recurrence-chain certificate builder (recurrence_chain).
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
 from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum,
                       kernel_module, projective_module, radical_rows,
-                      top_counts, zero_module)
+                      zero_module)
 from .ratmat import QMatrix, echelon_from_rows
 
 Frac = Fraction
@@ -139,14 +142,13 @@ class ResolutionTrace:
     completed: bool
     budget: int
 
-    def syzygy_at(self, degree):
-        if degree == 0:
-            return self.module
-        return self.records[degree - 1].syzygy
-
     def classes_at(self, degree, registry):
+        """Class multiset of the degree-th syzygy; {} past the end of a
+        completed resolution."""
         if degree == 0:
             return registry.classify(self.module)
+        if self.completed and degree > len(self.records):
+            return {}
         return self.records[degree - 1].classes
 
 
@@ -257,95 +259,82 @@ def _class_syzygy(registry, class_id):
     return cls.omega
 
 
-def _cover_counts_of_class(registry, class_id):
-    cls = registry.by_id(class_id)
-    if cls.cover_counts is None:
-        cls.cover_counts = top_counts(cls.module)
-    return cls.cover_counts
+def explore_classes(registry, start_ids, budget):
+    """Breadth-first closure of the first-syzygy class graph from start_ids.
 
+    Classes are taken in (dims, id) order at each depth; order lists them by
+    first-seen degree, with first_seen[c] that degree.  edges[c] is the class
+    multiset of the first syzygy of c (absent for projective classes, whose
+    syzygy is zero).  A class first seen at depth >= budget is left
+    unexpanded and makes closed False.
+    """
+    def key(c):
+        return (registry.by_id(c).dims, c)
 
-def _explore_classes(registry, start_ids, depth_budget):
-    """Breadth-first closure of the syzygy class graph from the start classes.
-
-    Expands classes discovered within depth_budget syzygy degrees; returns
-    (explored set, edges dict, frontier_open flag)."""
+    frontier = sorted(start_ids, key=key)
+    order = list(frontier)
+    first_seen = {c: 0 for c in frontier}
     edges = {}
-    depth = {cid: 0 for cid in start_ids}
-    frontier = [cid for cid in start_ids]
-    open_frontier = False
+    closed = True
     while frontier:
         nxt = []
-        for cid in frontier:
-            if cid in edges:
+        for c in frontier:
+            if c in edges or registry.by_id(c).is_projective():
                 continue
-            if registry.by_id(cid).is_projective():
-                edges[cid] = {}
+            if first_seen[c] >= budget:
+                closed = False
                 continue
-            if depth[cid] >= depth_budget:
-                open_frontier = True
-                continue
-            dec = _class_syzygy(registry, cid)
-            edges[cid] = dec
-            for nid in dec:
-                if nid not in depth or depth[nid] > depth[cid] + 1:
-                    depth[nid] = depth[cid] + 1
+            dec = _class_syzygy(registry, c)
+            edges[c] = dec
+            for nid in sorted(dec, key=key):
+                if nid not in first_seen:
+                    first_seen[nid] = first_seen[c] + 1
+                    order.append(nid)
                     nxt.append(nid)
-                elif nid not in edges:
+                elif nid not in edges and not registry.by_id(nid).is_projective():
                     nxt.append(nid)
         frontier = nxt
-    return edges, open_frontier
+    return order, first_seen, edges, closed
 
 
-def _find_cycle(edges):
-    """A directed cycle [c0, ..., ck=c0] in the class graph, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: 0 for cid in edges}
-    stack_path = []
-
-    def dfs(u):
-        color[u] = GRAY
-        stack_path.append(u)
-        for v in edges.get(u, {}):
-            if v not in edges:
-                continue
-            if color.get(v, 0) == GRAY:
-                i = stack_path.index(v)
-                return stack_path[i:] + [v]
-            if color.get(v, 0) == WHITE:
-                found = dfs(v)
-                if found:
-                    return found
-        stack_path.pop()
-        color[u] = BLACK
-        return None
-
-    for cid in list(edges):
-        if color[cid] == WHITE:
-            found = dfs(cid)
-            if found:
-                return found
-    return None
-
-
-def _path_to(edges, sources, target):
-    """Shortest class-graph walk from any source to the target class."""
-    from collections import deque
-
+def _shortest_walk(edges, sources, goal):
+    """Shortest class-graph walk from any source to goal, or None."""
     prev = {}
     seen = set(sources)
     queue = deque(sources)
     while queue:
         u = queue.popleft()
-        if u == target:
-            out = [u]
-            while out[-1] in prev:
-                out.append(prev[out[-1]])
-            return list(reversed(out))
+        if u == goal:
+            path = [u]
+            while path[-1] in prev:
+                path.append(prev[path[-1]])
+            return list(reversed(path))
         for v in edges.get(u, {}):
             if v not in seen:
                 seen.add(v)
                 prev[v] = u
                 queue.append(v)
+    return None
+
+
+def recurrence_chain(edges, starts, target=None):
+    """A summand chain B_0, ..., B_q from a start class with B_p = B_q, p < q,
+    that reaches target afterwards (any cycle when target is None).
+
+    Cycle classes are tried in id order.  Returns (chain, (p, q), tail) with
+    tail the walk from B_p to target, or None when no such cycle is
+    reachable from starts.
+    """
+    for c in sorted(edges):
+        loop = _shortest_walk(edges, list(edges[c]), c)
+        if loop is None:
+            continue
+        tail = _shortest_walk(edges, [c], c if target is None else target)
+        lead = _shortest_walk(edges, starts, c)
+        if tail is None or lead is None:
+            continue
+        chain = lead + loop
+        return chain, (len(lead) - 1, len(chain) - 1), tail
     return None
 
 
@@ -361,21 +350,18 @@ def pdim(m, budget=DEFAULT_BUDGET):
         raise ZeroModuleError("projective dimension of the zero module is undefined here")
     registry = registry_for(m.algebra, m.side)
     start = registry.classify(m)
-    edges, open_frontier = _explore_classes(registry, list(start), budget)
-    cycle = _find_cycle(edges)
-    if cycle is not None:
-        lead_in = _path_to(edges, list(start), cycle[0])
-        chain = lead_in + cycle[1:]
-        p = len(lead_in) - 1
-        q = len(chain) - 1
+    _, _, edges, closed = explore_classes(registry, start, budget)
+    found = recurrence_chain(edges, list(start))
+    if found is not None:
+        chain, repeat, _ = found
         cert = {
             "kind": "recurrence-cycle",
             "chain_class_ids": chain,
             "chain_dims": [registry.by_id(c).dims for c in chain],
-            "repeat_positions": (p, q),
+            "repeat_positions": repeat,
         }
         return PdimResult("infinite", None, cert, budget)
-    if open_frontier:
+    if not closed:
         return PdimResult("unknown", None, None, budget)
     # acyclic and fully explored: longest chain length is the exact dimension
     memo = {}
@@ -383,7 +369,7 @@ def pdim(m, budget=DEFAULT_BUDGET):
     def height(cid):
         if cid in memo:
             return memo[cid]
-        dec = edges[cid]
+        dec = edges.get(cid, {})
         h = 0 if not dec else 1 + max(height(nid) for nid in dec)
         memo[cid] = h
         return h
@@ -404,11 +390,8 @@ def idim_both_sides(algebra, budget=DEFAULT_BUDGET):
     """(left, right) injective dimensions of the regular module, each computed
     as the projective dimension of the dual cogenerator on the other side."""
     out = {}
-    for side in ("left", "right"):
-        other = "right" if side == "left" else "left"
-        duals = [projective_module(algebra, v, side).dual()
-                 for v in algebra.quiver.vertices]
-        results = [pdim(d, budget) for d in duals]
+    for side, other in (("left", "right"), ("right", "left")):
+        results = [pdim(d, budget) for d in injective_indecomposables(algebra, other)]
         per = {v: r for v, r in zip(algebra.quiver.vertices, results)}
         if any(r.status == "infinite" for r in results):
             combined = PdimResult("infinite", None,

@@ -71,9 +71,6 @@ class RepModule:
     def is_zero(self):
         return self.total_dim == 0
 
-    def dimension_vector(self):
-        return self.dims
-
     def verify(self):
         """Check that every relation of the algebra annihilates the representation."""
         eng = self.engine_presentation()
@@ -183,9 +180,6 @@ class ModMorphism:
         return (self.source.dims == self.target.dims
                 and all(m.is_invertible() for m in self.mats))
 
-    def apply_vertex(self, v, vec):
-        return self.mats[v].apply(vec)
-
     def flatten(self):
         """All entries as one tuple (vertex-major, row-major); basis for Hom coordinates."""
         out = []
@@ -197,11 +191,6 @@ class ModMorphism:
 
 def identity_morphism(m):
     return ModMorphism(m, m, [QMatrix.identity(d) for d in m.dims], validate=False)
-
-
-def zero_morphism(m, n):
-    return ModMorphism(m, n, [QMatrix.zeros(n.dims[v], m.dims[v])
-                              for v in range(len(m.dims))], validate=False)
 
 
 # -- constructions -----------------------------------------------------------
@@ -641,14 +630,3 @@ class TensorSpace:
 def tensor_dim(a_right, m_left):
     """dim_K of a_right tensor_Lambda m_left, exactly."""
     return TensorSpace(a_right, m_left).dim
-
-
-# -- assorted helpers ----------------------------------------------------------
-
-
-def module_from_matrices(algebra, side, dims, act, validate=True):
-    return RepModule(algebra, side, dims, act, validate=validate)
-
-
-def modules_equal_dims(m, n):
-    return m.dims == n.dims

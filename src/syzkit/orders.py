@@ -336,19 +336,11 @@ def gldim_certificate(vq, probes, budget=DEFAULT_BUDGET):
         if not trace.completed and len(trace.records) < fbound + 1:
             results.append({"probe_dims": probe.dims, "status": "open"})
             continue
-
-        def classes_at(k):
-            if k == 0:
-                return reg.classify(probe)
-            if k - 1 < len(trace.records):
-                return trace.records[k - 1].classes
-            return {}
-
         checks = []
         all_violated = True
         for m in range(1, fbound + 1):
-            low = classes_at(m - 1)
-            high = classes_at(m + 1)
+            low = trace.classes_at(m - 1, reg)
+            high = trace.classes_at(m + 1, reg)
             ok = True
             for cid, mult in high.items():
                 if low.get(cid, 0) < mult:

@@ -156,9 +156,6 @@ class QMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self):
-        return QMatrix(self.nrows, self.ncols, [row[:] for row in self.data])
-
     def row(self, i):
         return list(self.data[i])
 

@@ -15,9 +15,11 @@ from fractions import Fraction
 
 from .decompose import registry_for
 from .errors import CatalogOpen, InternalConsistencyError, SideMismatch
-from .homology import DEFAULT_BUDGET, _class_syzygy, pdim, tor1_dim
+from .homology import (DEFAULT_BUDGET, explore_classes,
+                       injective_indecomposables, pdim, recurrence_chain,
+                       tor1_dim)
 from .modules import (RepModule, contains_full_semisimple, direct_sum,
-                      projective_module, simple_module, tensor_dim, top_counts)
+                      simple_module, tensor_dim, top_counts)
 from .ratmat import QMatrix, rowspace_contains
 
 Frac = Fraction
@@ -98,74 +100,12 @@ class SyzygyCatalog:
         B_p isomorphic to B_q for some p < q, witnessing that class_id recurs
         at infinitely many degrees."""
         self._require_closed()
-        reg = self.registry()
-        starts = [c for c in self.degree0]
-        # find a cycle reachable from the starts that reaches class_id
-        cyc = _cycle_through(self.edges, starts, class_id, reg)
-        if cyc is None:
+        found = recurrence_chain(self.edges, list(self.degree0), class_id)
+        if found is None:
             raise InternalConsistencyError("no recurrence cycle for a recurrent class")
-        return cyc
-
-
-def _cycle_through(edges, starts, target, reg):
-    """Chain starts -> ... -> cycle -> ... -> target with the cycle repeated once."""
-    from collections import deque
-
-    def bfs(srcs, goal_set):
-        prev = {}
-        seen = set(srcs)
-        dq = deque(srcs)
-        hits = []
-        while dq:
-            u = dq.popleft()
-            if u in goal_set:
-                path = [u]
-                while path[-1] in prev:
-                    path.append(prev[path[-1]])
-                return list(reversed(path))
-            if reg.by_id(u).is_projective():
-                continue
-            for v in edges.get(u, {}):
-                if v not in seen:
-                    seen.add(v)
-                    prev[v] = u
-                    dq.append(v)
-        return None
-
-    # cycle nodes: classes that can reach themselves
-    cycle_nodes = []
-    for c in edges:
-        if reg.by_id(c).is_projective():
-            continue
-        stack = list(edges[c].keys())
-        seen = set(stack)
-        while stack:
-            u = stack.pop()
-            if u == c:
-                cycle_nodes.append(c)
-                break
-            if reg.by_id(u).is_projective():
-                continue
-            for v in edges.get(u, {}):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    for c in sorted(cycle_nodes):
-        tail = bfs([c], {target})
-        if tail is None:
-            continue
-        lead = bfs(starts, {c})
-        if lead is None:
-            continue
-        loop = bfs(list(edges[c].keys()), {c})
-        if loop is None:
-            continue
-        chain = lead + loop
-        p = len(lead) - 1
-        q = len(chain) - 1
-        return {"chain_class_ids": chain, "repeat_positions": (p, q),
+        chain, repeat, tail = found
+        return {"chain_class_ids": chain, "repeat_positions": repeat,
                 "reaches_target_via": tail}
-    return None
 
 
 def build_catalog(t, budget=DEFAULT_BUDGET):
@@ -178,37 +118,7 @@ def build_catalog(t, budget=DEFAULT_BUDGET):
         raise ValueError("budget must be >= 1")
     reg = registry_for(t.algebra, t.side)
     degree0 = reg.classify(t) if not t.is_zero() else {}
-    first_seen = {}
-    order = []
-    edges = {}
-    frontier = sorted(degree0, key=lambda c: (reg.by_id(c).dims, c))
-    for c in frontier:
-        first_seen[c] = 0
-        order.append(c)
-    depth = {c: 0 for c in frontier}
-    open_flag = False
-    while frontier:
-        nxt = []
-        for c in frontier:
-            if c in edges or reg.by_id(c).is_projective():
-                continue
-            if depth[c] >= budget:
-                open_flag = True
-                continue
-            dec = _class_syzygy(reg, c)
-            edges[c] = dec
-            for nid in sorted(dec, key=lambda x: (reg.by_id(x).dims, x)):
-                if nid not in first_seen:
-                    first_seen[nid] = depth[c] + 1
-                    order.append(nid)
-                    depth[nid] = depth[c] + 1
-                    nxt.append(nid)
-                elif nid not in edges and not reg.by_id(nid).is_projective():
-                    if nid not in depth:
-                        depth[nid] = depth[c] + 1
-                    nxt.append(nid)
-        frontier = nxt
-    closed = not open_flag
+    order, first_seen, edges, closed = explore_classes(reg, degree0, budget)
     return SyzygyCatalog(t.algebra, t.side, t, degree0, order, first_seen,
                          edges, closed, budget,
                          contains_full_semisimple(t) if not t.is_zero() else False)
@@ -219,9 +129,10 @@ def build_catalog(t, budget=DEFAULT_BUDGET):
 
 @dataclass
 class Outcome:
-    """A certified value, a certified infinity, or an open-at-budget marker."""
+    """A certified value, a certified upper bound, a certified infinity, or
+    an open-at-budget marker."""
 
-    status: str            # "finite" | "infinite" | "open"
+    status: str            # "finite" | "bound" | "infinite" | "open"
     value: int | None = None
     certificate: dict | None = None
 
@@ -428,8 +339,6 @@ def pdim_via_contingency(catalog, m_left, budget=DEFAULT_BUDGET):
     """Projective dimension of a finite-dimension module as 1 + the largest
     contingency among classes with nonvanishing Tor_1; cross-checked against
     the direct resolution."""
-    from .homology import tor1_dim
-
     if catalog.side != "right" or m_left.side != "left":
         raise SideMismatch("needs a right-module catalog and a left module")
     if not catalog.closed:
@@ -516,10 +425,7 @@ def _test_module_side(algebra, module_side):
     simples = [simple_module(algebra, v, module_side) for v in algebra.quiver.vertices]
     semisimple, _, _ = direct_sum(simples)
     roots.append(("semisimple-quotient", semisimple, True))
-    other = "left" if module_side == "right" else "right"
-    duals = [projective_module(algebra, v, other).dual()
-             for v in algebra.quiver.vertices]
-    cogen, _, _ = direct_sum(duals)
+    cogen, _, _ = direct_sum(injective_indecomposables(algebra, module_side))
     roots.append(("injective-cogenerator", cogen, False))
     reg = regular_module(algebra, module_side)
     if contains_full_semisimple(reg):
@@ -596,10 +502,9 @@ def findim_bounds(algebra, budget=DEFAULT_BUDGET, extra_left_probes=(),
         scan = []
         for v in algebra.quiver.vertices:
             scan.append((f"simple[{v}]", simple_module(algebra, v, target_side)))
-        other = "left" if target_side == "right" else "right"
-        for v in algebra.quiver.vertices:
-            scan.append((f"injective-envelope[{v}]",
-                         projective_module(algebra, v, other).dual()))
+        injectives = injective_indecomposables(algebra, target_side)
+        for v, inj in zip(algebra.quiver.vertices, injectives):
+            scan.append((f"injective-envelope[{v}]", inj))
         for i, probe in enumerate(probes_by_side[target_side]):
             scan.append((f"probe[{i}]", probe))
         for label, mod in scan:

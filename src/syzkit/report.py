@@ -46,9 +46,6 @@ class ReportDocument:
         if note:
             self.notes.append(note)
 
-    def note(self, text):
-        self.notes.append(text)
-
     def to_dict(self):
         return {
             "tool": "syzkit",

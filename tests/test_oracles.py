@@ -4,7 +4,8 @@ shares no code path with the primary implementation."""
 import random
 
 from syzkit.algebra import Quiver, Relation, build_algebra
-from syzkit.homology import ext_dims, pdim, resolve
+from syzkit.decompose import registry_for
+from syzkit.homology import _class_syzygy, ext_dims, pdim, resolve
 from syzkit.modules import simple_module, socle_counts, top_counts
 
 import randgen
@@ -32,14 +33,27 @@ def test_ext1_between_simples_counts_arrows():
 
 def test_finite_pdim_matches_resolution_length():
     """When the class graph certifies finite(d), the explicit minimal
-    resolution must reach the zero syzygy exactly at degree d + 1."""
+    resolution must reach the zero syzygy exactly at degree d + 1.  When it
+    certifies infinity, the chain must start at a summand class of the module,
+    follow first-syzygy edges, and revisit a class."""
     pool = randgen.algebra_pool(0xD2, 10)
     rng = random.Random(0xD2)
     checked = 0
+    chains = 0
     for k in range(60):
         alg = pool[k % len(pool)]
         m = randgen.random_module(rng, alg, "left")
         r = pdim(m, 8)
+        if r.status == "infinite":
+            reg = registry_for(alg, "left")
+            chain = r.certificate["chain_class_ids"]
+            p, q = r.certificate["repeat_positions"]
+            assert chain[0] in reg.classify(m)
+            for a, b in zip(chain, chain[1:]):
+                assert b in _class_syzygy(reg, a)
+            assert p < q and chain[p] == chain[q]
+            assert r.certificate["chain_dims"] == [reg.by_id(c).dims for c in chain]
+            chains += 1
         if r.status != "finite":
             continue
         trace = resolve(m, r.value + 1, classify=False)
@@ -50,6 +64,7 @@ def test_finite_pdim_matches_resolution_length():
             assert not trace.records[-2].syzygy.is_zero()
         checked += 1
     assert checked >= 20
+    assert chains >= 10
 
 
 def test_socle_of_dual_is_top():
