@@ -446,27 +446,17 @@ def build_algebra(quiver, relations, length_cap=12, max_paths=400_000):
         needed = max(N + lrel, 2 * (N - 1), N + 1)
         sig = closure.signature(N)
         if W >= needed and prev is not None and prev == (N, sig):
-            return _finalize(quiver, relations, closure, N, W, length_cap)
+            return _finalize(quiver, relations, closure, N, W, length_cap, sig)
         prev = (N, sig)
         W = max(W + 1, needed)
 
 
-def _finalize(quiver, relations, closure, N, W, length_cap):
-    uf = closure.uf
-    classes = {}
-    for length in range(0, N):
-        for k in closure.keys_by_len[length]:
-            if uf.is_zero(k):
-                continue
-            classes.setdefault(uf.find(k), []).append(k)
-    canon = {root: min(members, key=lambda k: (len(k[1]), k[1], k[0]))
-             for root, members in classes.items()}
-    reps = sorted(canon.values(), key=lambda k: (len(k[1]), k[1], k[0]))
-    # trivial paths first, in quiver vertex order
-    trivial = [k for k in reps if not k[1]]
-    trivial.sort(key=lambda k: quiver.index[k[0]])
-    rest = [k for k in reps if k[1]]
-    ordered = trivial + rest
+def _finalize(quiver, relations, closure, N, W, length_cap, sig):
+    """Basis and class map from the converged signature of the last pass;
+    paths of length >= N never reach the class map (class_of returns None)."""
+    reps = {val[1] for val in sig.values() if val is not None}
+    # trivial paths first, in quiver vertex order; then by length and names
+    ordered = sorted(reps, key=lambda k: (len(k[1]), k[1], quiver.index[k[0]]))
     basis = []
     rep_to_idx = {}
     for idx, k in enumerate(ordered):
@@ -475,18 +465,10 @@ def _finalize(quiver, relations, closure, N, W, length_cap):
         rep_to_idx[k] = idx
     for a in quiver.arrows:
         k = (a.source, (a.name,))
-        if uf.is_zero(k) or canon[uf.find(k)] != k:
+        if sig.get(k) is None or sig[k][1] != k:
             raise IllFormedRelation(
                 f"arrow {a.name!r} is not part of the normal-form basis; "
                 "the ideal is not admissible")
-    class_map = {}
-    for length in range(0, W + 1):
-        for k in closure.keys_by_len[length]:
-            if uf.is_zero(k):
-                class_map[k] = None
-            else:
-                root, c = uf.coeff_to_root(k)
-                crep = canon[root]
-                _, ccoeff = uf.coeff_to_root(crep)
-                class_map[k] = (c / ccoeff, rep_to_idx[crep])
+    class_map = {k: None if val is None else (val[0], rep_to_idx[val[1]])
+                 for k, val in sig.items()}
     return AlgebraPresentation(quiver, relations, N, W, length_cap, basis, class_map)

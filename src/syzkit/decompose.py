@@ -28,6 +28,16 @@ _SPLIT_SEED = 0x5A7A
 _SPLIT_RANDOM_TRIES = 300
 
 
+def _linear_combination(coeffs, basis):
+    """sum c * f over the nonzero coefficients, or None when all are zero."""
+    out = None
+    for c, f in zip(coeffs, basis):
+        if c:
+            term = f.scale(c)
+            out = term if out is None else out.add(term)
+    return out
+
+
 class EndRing:
     """Endomorphism ring data: a basis of morphisms and the trace Gram matrix."""
 
@@ -55,15 +65,8 @@ class EndRing:
         return self.gram.kernel_rows()
 
     def combo(self, coeffs):
-        out = None
-        for c, f in zip(coeffs, self.basis):
-            if not c:
-                continue
-            term = f.scale(c)
-            out = term if out is None else out.add(term)
-        if out is None:
-            out = identity_morphism(self.module).scale(0)
-        return out
+        out = _linear_combination(coeffs, self.basis)
+        return identity_morphism(self.module).scale(0) if out is None else out
 
     def multiplication_table(self):
         """Structure constants: table[i][j] = coefficients of basis[i] o basis[j]."""
@@ -408,28 +411,12 @@ def iso_witness(m, n, tries=200, seed=0xBEEF):
     for f in basis:
         if f.is_isomorphism():
             return f
-    for _ in range(tries):
-        coeffs = [rng.randint(-3, 3) for _ in range(k)]
-        if not any(coeffs):
-            continue
-        cand = None
-        for c, f in zip(coeffs, basis):
-            if c:
-                term = f.scale(c)
-                cand = term if cand is None else cand.add(term)
+    grid = itertools.product(range(-2, 3), repeat=k) if k <= 3 else ()
+    random_tries = ([rng.randint(-3, 3) for _ in range(k)] for _ in range(tries))
+    for coeffs in itertools.chain(random_tries, grid):
+        cand = _linear_combination(coeffs, basis)
         if cand is not None and cand.is_isomorphism():
             return cand
-    if k <= 3:
-        for coeffs in itertools.product(range(-2, 3), repeat=k):
-            if not any(coeffs):
-                continue
-            cand = None
-            for c, f in zip(coeffs, basis):
-                if c:
-                    term = f.scale(c)
-                    cand = term if cand is None else cand.add(term)
-            if cand is not None and cand.is_isomorphism():
-                return cand
     raise WitnessSearchExhausted(
         "isomorphism holds by the trace test but no invertible combination was found")
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .algebra import Quiver, Relation, build_algebra
 from .errors import IllFormedRelation, ParseError
-from .modules import (RepModule, direct_sum, projective_module, quotient_module,
-                      simple_module)
+from .modules import (RepModule, direct_sum, projective_layout, projective_module,
+                      quotient_module, simple_module)
 from .orders import ExponentMatrix, ValuedQuiver
 from .ratmat import QMatrix
 
@@ -441,10 +441,12 @@ def _build_cokernel(algebra, side, payload):
     covers = payload["covers"]
     for v in covers:
         _check_vertex(algebra, v)
-    projs = [projective_module(algebra, v, side) for v in covers]
-    total, incls, _ = direct_sum(projs)
+    total, _, _ = direct_sum([projective_module(algebra, v, side) for v in covers])
     eng = algebra if side == "left" else algebra.opposite()
     nv = len(quiver.vertices)
+    # per copy: basis index -> (target vertex index, column in the sum)
+    columns = [{i: (tv, col) for i, tv, col in entries}
+               for entries in projective_layout(eng, covers)]
 
     def element_vector(coeff, names, copy):
         if not (1 <= copy <= len(covers)):
@@ -455,19 +457,10 @@ def _build_cokernel(algebra, side, payload):
         if cls is None:
             return None, eng.quiver.index[tgt]
         c, idx = cls
-        b = eng.basis[idx]
-        tv = eng.quiver.index[b.target]
-        # position of basis element idx inside the projective at src
-        pos = 0
-        for i in eng.basis_by_source[src]:
-            bb = eng.basis[i]
-            if i == idx:
-                break
-            if eng.quiver.index[bb.target] == tv:
-                pos += 1
-        local = [Frac(0)] * projs[copy - 1].dims[tv]
-        local[pos] = coeff * c
-        return incls[copy - 1].mats[tv].apply(local), tv
+        tv, col = columns[copy - 1][idx]
+        vec = [Frac(0)] * total.dims[tv]
+        vec[col] = coeff * c
+        return vec, tv
 
     gen_vectors = []
     for terms in payload["kills"]:

@@ -8,7 +8,9 @@ module's own summand classes forces summand recurrence in all later degrees
 (the chain argument), certifying infinite projective dimension; a closed
 acyclic graph yields the exact finite value.  pdim, idim and the syzygy
 catalogs of repetition share one explorer of this graph (explore_classes) and
-one recurrence-chain certificate builder (recurrence_chain).
+one recurrence-chain certificate builder (recurrence_chain).  Covers and the
+Ext complexes find a path's column in a sum of projectives through
+modules.projective_layout; kernels come from ratmat.nullspace.
 """
 
 from collections import deque
@@ -18,9 +20,9 @@ from fractions import Fraction
 from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
 from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum,
-                      kernel_module, projective_module, radical_rows,
-                      zero_module)
-from .ratmat import QMatrix, echelon_from_rows
+                      kernel_module, projective_layout, projective_module,
+                      radical_rows, zero_module)
+from .ratmat import QMatrix, nullspace
 
 Frac = Fraction
 
@@ -47,45 +49,28 @@ def projective_cover(m):
     rad = radical_rows(m)
     lifts = []  # (vertex_index, top representative vector in M_v)
     for v in range(nv):
-        if m.dims[v] == 0:
-            continue
-        # unit vectors at the free coordinates of the radical's row space
-        ech = echelon_from_rows(rad[v]._int_rows())
-        pivs = set(ech.pivot_cols())
-        for c in range(m.dims[v]):
-            if c not in pivs:
-                vec = [Frac(0)] * m.dims[v]
-                vec[c] = Frac(1)
-                lifts.append((v, vec))
+        # unit vectors at the free columns of the radical's row space
+        for c in nullspace(rad[v]._int_rows(), m.dims[v])[0]:
+            vec = [Frac(0)] * m.dims[v]
+            vec[c] = Frac(1)
+            lifts.append((v, vec))
     if not lifts:
         cov = zero_module(m.algebra, m.side)
         surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],
                            validate=False)
         return ProjectiveCover(cov, (), (0,) * nv, surj, ())
-    projs = [projective_module(m.algebra, quiver.vertices[v], m.side) for v, _ in lifts]
-    cover, incls, _ = direct_sum(projs)
+    summands = [quiver.vertices[v] for v, _ in lifts]
+    cover, _, _ = direct_sum([projective_module(m.algebra, v, m.side) for v in summands])
     counts = [0] * nv
     for v, _ in lifts:
         counts[v] += 1
     # assemble the surjection: basis element (copy r, path p) maps to p . x_r
     mats = [QMatrix.zeros(m.dims[v], cover.dims[v]) for v in range(nv)]
     gen_coords = []
-    for r, ((v, xvec), proj, incl) in enumerate(zip(lifts, projs, incls)):
-        elems = eng.basis_by_source[quiver.vertices[v]]
-        # positions inside the projective copy mirror projective_module's layout
-        local = [0] * nv
-        for i in elems:
+    for (v, xvec), entries in zip(lifts, projective_layout(eng, summands)):
+        for i, tv, col in entries:
             b = eng.basis[i]
-            tv = quiver.index[b.target]
-            pos_local = local[tv]
-            local[tv] += 1
             img = m.path_action(quiver.vertices[v], b.names).apply(xvec)
-            # locate this basis element's coordinate inside the direct sum
-            col = None
-            for amb in range(cover.dims[tv]):
-                if incl.mats[tv].data[amb][pos_local]:
-                    col = amb
-                    break
             for i_row in range(m.dims[tv]):
                 if img[i_row]:
                     mats[tv].data[i_row][col] = img[i_row]
@@ -104,8 +89,7 @@ def projective_cover(m):
                     if kr.data[i][gc]:
                         raise InternalConsistencyError(
                             "cover kernel meets the top: cover not minimal")
-    return ProjectiveCover(cover, tuple(quiver.vertices[v] for v, _ in lifts),
-                           tuple(counts), surj, tuple(gen_coords))
+    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj, tuple(gen_coords))
 
 
 def syzygy_with_cover(m):
@@ -321,10 +305,11 @@ def recurrence_chain(edges, starts, target=None):
     """A summand chain B_0, ..., B_q from a start class with B_p = B_q, p < q,
     that reaches target afterwards (any cycle when target is None).
 
-    Cycle classes are tried in id order.  Returns (chain, (p, q), tail) with
-    tail the walk from B_p to target, or None when no such cycle is
-    reachable from starts.
+    The chain is the shortest over all cycle classes B_p, ties going to the
+    least id.  Returns (chain, (p, q), tail) with tail the walk from B_p to
+    target, or None when no such cycle is reachable from starts.
     """
+    best = None
     for c in sorted(edges):
         loop = _shortest_walk(edges, list(edges[c]), c)
         if loop is None:
@@ -334,8 +319,9 @@ def recurrence_chain(edges, starts, target=None):
         if tail is None or lead is None:
             continue
         chain = lead + loop
-        return chain, (len(lead) - 1, len(chain) - 1), tail
-    return None
+        if best is None or len(chain) < len(best[0]):
+            best = chain, (len(lead) - 1, len(chain) - 1), tail
+    return best
 
 
 def pdim(m, budget=DEFAULT_BUDGET):
@@ -409,27 +395,6 @@ def idim_both_sides(algebra, budget=DEFAULT_BUDGET):
 # -- Ext ------------------------------------------------------------------------
 
 
-def _cover_layout(cover, eng):
-    """Per copy: (vertex label, [(path names, target vertex index, ambient column)])."""
-    quiver = eng.quiver
-    nv = len(quiver.vertices)
-    running = [0] * nv
-    layout = []
-    for v_label in cover.summands:
-        elems = eng.basis_by_source[v_label]
-        local = [0] * nv
-        entries = []
-        for i in elems:
-            b = eng.basis[i]
-            tv = quiver.index[b.target]
-            entries.append((b.names, tv, running[tv] + local[tv]))
-            local[tv] += 1
-        layout.append((v_label, entries))
-        for tv in range(nv):
-            running[tv] += local[tv]
-    return layout
-
-
 def ext_dims(m, n, max_degree):
     """[dim Ext^i(m, n)] for i = 0..max_degree, as cohomology of Hom(C_*, n)
     along the minimal resolution C_* of m."""
@@ -443,7 +408,8 @@ def ext_dims(m, n, max_degree):
     quiver = eng.quiver
     trace = resolve(m, max_degree + 2, classify=False, keep_maps=True)
     covers = [rec.cover for rec in trace.records]  # covers[k] covers the k-th syzygy
-    layouts = [_cover_layout(c, eng) for c in covers]
+    # per cover: (vertex label, [(basis index, target vertex index, column)])
+    layouts = [list(zip(c.summands, projective_layout(eng, c.summands))) for c in covers]
 
     def hom_dim_of(k):
         if k >= len(covers):
@@ -485,13 +451,13 @@ def ext_dims(m, n, max_degree):
                     gv, gc = gens[r]
                     vec = d.mats[gv].column(gc)  # d_k(generator r) at vertex gv
                     out = [Frac(0)] * n.dims[gv]
-                    for names, tv, amb in entries_s:
+                    for idx, tv, amb in entries_s:
                         if tv != gv:
                             continue
                         c = vec[amb]
                         if not c:
                             continue
-                        colvec = n.path_action(v_s, names).column(u)
+                        colvec = n.path_action(v_s, eng.basis[idx].names).column(u)
                         for i, x in enumerate(colvec):
                             if x:
                                 out[i] += c * x

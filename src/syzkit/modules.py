@@ -6,14 +6,17 @@ s to the space at t.  A right module stores the matrix the other way around
 (space at t to space at s); that is exactly a left module over the opposite
 presentation, so every algorithm below works on the "engine" view: the
 module's matrices read against engine_presentation() = algebra (left) or
-algebra.opposite() (right).
+algebra.opposite() (right).  Null spaces (Hom systems, quotients, kernels) are
+read off by ratmat.nullspace; the coordinates of a sum of projectives are laid
+out once, by projective_layout.
 """
 
 from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import QMatrix, echelon_from_rows, _int_row, solve_columns, stack_rows
+from .ratmat import (QMatrix, _int_row, echelon_from_rows, nullspace, solve_columns,
+                     stack_rows)
 
 Frac = Fraction
 
@@ -60,9 +63,6 @@ class RepModule:
 
     def engine_presentation(self):
         return self.algebra if self.side == LEFT else self.algebra.opposite()
-
-    def vertex_dim(self, vertex):
-        return self.dims[self.algebra.quiver.index[vertex]]
 
     @property
     def total_dim(self):
@@ -201,36 +201,50 @@ def zero_module(algebra, side):
     return RepModule(algebra, side, (0,) * n, {}, validate=False)
 
 
+def projective_layout(eng, vertices):
+    """Coordinates of P_{v_1} (+) ... (+) P_{v_r} over the engine presentation.
+
+    Per copy: [(basis index, target vertex index, column)], the copy's basis
+    paths in ascending index, each path the next column at its target vertex,
+    copy after copy.  This is the layout of projective_module and direct_sum.
+    """
+    running = [0] * len(eng.quiver.vertices)
+    layout = []
+    for v in vertices:
+        entries = []
+        for i in eng.basis_by_source[v]:
+            tv = eng.quiver.index[eng.basis[i].target]
+            entries.append((i, tv, running[tv]))
+            running[tv] += 1
+        layout.append(entries)
+    return layout
+
+
 def projective_module(algebra, vertex, side):
     """The indecomposable projective with top at the given vertex."""
     _check_side(side)
     eng = algebra if side == LEFT else algebra.opposite()
     if vertex not in eng.quiver.index:
         raise IllFormedRelation(f"unknown vertex {vertex!r}")
-    elems = list(eng.basis_by_source[vertex])  # engine basis indices, ascending
+    entries = projective_layout(eng, [vertex])[0]
     dims = [0] * len(eng.quiver.vertices)
-    positions = {}
-    for i in elems:
-        b = eng.basis[i]
-        tv = eng.quiver.index[b.target]
-        positions[i] = (tv, dims[tv])
+    column = {}
+    for i, tv, col in entries:
         dims[tv] += 1
+        column[i] = col
     act = {}
     for a in eng.quiver.arrows:
         s, t = eng.quiver.index[a.source], eng.quiver.index[a.target]
         mat = QMatrix.zeros(dims[t], dims[s])
         ai = eng.arrow_basis[a.name]
-        for i in elems:
-            b = eng.basis[i]
-            if b.target != a.source:
+        for i, tv, col in entries:
+            if tv != s:
                 continue
             prod = eng.mul(ai, i)
             if prod is None:
                 continue
             c, k = prod
-            _, col = positions[i]
-            _, row = positions[k]
-            mat.data[row][col] = c
+            mat.data[column[k]][col] = c
         act[a.name] = mat
     return RepModule(algebra, side, dims, act, validate=False)
 
@@ -334,23 +348,14 @@ def quotient_module(m, vertex_rows):
     for v, rows in enumerate(vertex_rows):
         if rows.ncols != m.dims[v]:
             raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
-        ech = echelon_from_rows(rows._int_rows())
-        rref = ech.rref_rows()
-        pivs = [c for c, _ in rref]
-        free = [c for c in range(m.dims[v]) if c not in set(pivs)]
+        # the projection's rows are the null-space vectors of the submodule's
+        # rows; the section is the unit vectors at their free columns
+        free, kernel = nullspace(rows._int_rows(), m.dims[v])
         dims.append(len(free))
-        q = QMatrix.zeros(len(free), m.dims[v])
-        for fi, f in enumerate(free):
-            q.data[fi][f] = Frac(1)
-        for c, r in rref:
-            for fi, f in enumerate(free):
-                val = r.get(f)
-                if val:
-                    q.data[fi][c] = -val
         s = QMatrix.zeros(m.dims[v], len(free))
         for fi, f in enumerate(free):
             s.data[f][fi] = Frac(1)
-        proj_mats.append(q)
+        proj_mats.append(QMatrix(len(free), m.dims[v], kernel))
         sect_mats.append(s)
     act = {}
     for a in eng.quiver.arrows:
@@ -365,11 +370,6 @@ def kernel_module(f):
     """Kernel of a morphism as a submodule of its source; returns (ker, inclusion)."""
     rows = [f.mats[v].kernel_rows() for v in range(len(f.source.dims))]
     return submodule(f.source, rows)
-
-
-def image_rows(f):
-    """Per-vertex row bases of the image of a morphism inside its target."""
-    return [f.mats[v].transpose().row_space() for v in range(len(f.source.dims))]
 
 
 # -- radical structure --------------------------------------------------------
@@ -502,18 +502,8 @@ def hom_basis(m, n):
                         entries[key] = entries.get(key, Frac(0)) - na.data[i][j]
                 if entries:
                     rows.append(_int_row(entries))
-    ech = echelon_from_rows(rows)
-    rref = ech.rref_rows()
-    pivs = {c for c, _ in rref}
-    free = [c for c in range(total) if c not in pivs]
     basis = []
-    for f in free:
-        flat = [Frac(0)] * total
-        flat[f] = Frac(1)
-        for c, r in rref:
-            val = r.get(f)
-            if val:
-                flat[c] = -val
+    for flat in nullspace(rows, total)[1]:
         mats = []
         for v in range(nv):
             mat = QMatrix.zeros(n.dims[v], m.dims[v])
@@ -523,10 +513,6 @@ def hom_basis(m, n):
             mats.append(mat)
         basis.append(ModMorphism(m, n, mats, validate=False))
     return basis
-
-
-def hom_dim(m, n):
-    return len(hom_basis(m, n))
 
 
 # -- tensor products ----------------------------------------------------------

@@ -79,9 +79,6 @@ class ValuedQuiver:
                 raise NonpositiveCycle(
                     f"directed cycle of value 0 through vertex {v!r}")
 
-    def arrow_value(self, name):
-        return self.values[name]
-
 
 def _min_cycle_value(vq, vertex):
     """Least total value of a nonempty cycle at the vertex, or None."""

@@ -85,9 +85,6 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def pivot_cols(self):
-        return [c for c, _ in self.pivots]
-
     def rref_rows(self):
         """Back-eliminated rows as {col: Fraction} with pivot entry 1."""
         rows = [dict(r) for _, r in self.pivots]
@@ -112,6 +109,26 @@ def echelon_from_rows(int_rows):
         if r:
             ech.insert(dict(r))
     return ech
+
+
+def nullspace(int_rows, ncols):
+    """Basis of {x : row . x = 0 for every row}, read off the reduced echelon
+    form: one vector per free column f, with 1 at f and minus the pivot rows'
+    f-entries at the pivot columns.  Returns (free_cols, vectors), the vectors
+    as plain lists of Fractions."""
+    rref = echelon_from_rows(int_rows).rref_rows()
+    pivs = {c for c, _ in rref}
+    free = [c for c in range(ncols) if c not in pivs]
+    vectors = []
+    for f in free:
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
+        for c, r in rref:
+            val = r.get(f)
+            if val:
+                vec[c] = -val
+        vectors.append(vec)
+    return free, vectors
 
 
 class QMatrix:
@@ -264,19 +281,7 @@ class QMatrix:
 
     def kernel_rows(self):
         """Rows spanning the right null space {x : self * x = 0}."""
-        ech = echelon_from_rows(self._int_rows())
-        rref = ech.rref_rows()
-        pivs = {c for c, _ in rref}
-        free = [c for c in range(self.ncols) if c not in pivs]
-        rows = []
-        for f in free:
-            vec = [_ZERO] * self.ncols
-            vec[f] = _ONE
-            for c, r in rref:
-                val = r.get(f)
-                if val:
-                    vec[c] = -val
-            rows.append(vec)
+        _, rows = nullspace(self._int_rows(), self.ncols)
         return QMatrix(len(rows), self.ncols, rows)
 
     def is_invertible(self):

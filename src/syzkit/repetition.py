@@ -49,10 +49,6 @@ class SyzygyCatalog:
     def registry(self):
         return registry_for(self.algebra, self.side)
 
-    def nonprojective_classes(self):
-        reg = self.registry()
-        return [c for c in self.classes if not reg.by_id(c).is_projective()]
-
     def closure_degree(self):
         return max(self.first_seen.values(), default=0)
 
@@ -410,10 +406,6 @@ class FinDimReport:
         return {"left": self.left.to_dict(), "right": self.right.to_dict(),
                 "budget": self.budget}
 
-    @property
-    def any_open(self):
-        return bool(self.left.open_items or self.right.open_items)
-
 
 def _test_module_side(algebra, module_side):
     """Root modules whose repetition indices bound the (other side's) big
@@ -471,12 +463,9 @@ def findim_bounds(algebra, budget=DEFAULT_BUDGET, extra_left_probes=(),
                 f"max-finite-contingency-plus-1[{label}]",
                 Outcome("finite", 1 + max(finite_sigmas),
                         {"kind": "catalog-closure"})))
-            states, preperiod, period = catalog.level_states()
-            tail = set()
-            for s in states[preperiod:]:
-                tail.update(s)
+            states = catalog.level_states()[0]
             best = None
-            suffix = set(tail)
+            suffix = catalog.recurrent_classes()
             for m in range(len(states) - 1, -1, -1):
                 suffix = suffix | states[m]
                 cand = len(suffix) + m

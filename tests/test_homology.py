@@ -1,7 +1,8 @@
 from syzkit.decompose import is_isomorphic, registry_for
 from syzkit.homology import (ext_dims, idim_both_sides, pdim,
                              poincare_betti_truncated, projective_cover,
-                             resolve, syzygy, syzygy_with_cover, tor1_dim)
+                             recurrence_chain, resolve, syzygy,
+                             syzygy_with_cover, tor1_dim)
 from syzkit.modules import direct_sum, projective_module, simple_module
 
 import cases
@@ -115,6 +116,17 @@ def test_pdim_infinite_certificate(ex_three_loop):
 
         dec = _class_syzygy(reg, chain[i])
         assert chain[i + 1] in dec
+
+
+def test_recurrence_chain_is_shortest_over_cycle_classes():
+    # the chain through cycle class 0 would be [1, 0, 1, 0]
+    chain, repeat, tail = recurrence_chain({0: {1: 1}, 1: {0: 1}}, [1])
+    assert chain == [1, 0, 1]
+    assert repeat == (0, 2)
+    assert tail == [1]
+    # equal lengths: the least cycle class wins
+    edges = {0: {0: 1}, 1: {1: 1}, 2: {0: 1, 1: 1}}
+    assert recurrence_chain(edges, [2])[0] == [2, 0, 0]
 
 
 def test_pdim_unknown_when_no_cycle(ex_local):

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from syzkit.errors import IllFormedRelation
-from syzkit.modules import (RepModule, direct_sum, hom_basis, projective_module,
-                            radical_filtration, simple_module, socle_counts,
-                            tensor_dim, top_counts)
+from syzkit.modules import (RepModule, direct_sum, hom_basis, projective_layout,
+                            projective_module, radical_filtration, simple_module,
+                            socle_counts, tensor_dim, top_counts)
 from syzkit.ratmat import QMatrix
 
 import cases
+import randgen
 
 
 def test_left_projectives_five_vertex(ex_five):
@@ -179,3 +180,24 @@ def test_dual_hom_duality(ex_five):
     for _ in range(6):
         m, n = rng.choice(mods), rng.choice(mods)
         assert len(hom_basis(m, n)) == len(hom_basis(n.dual(), m.dual()))
+
+
+def test_projective_layout_matches_direct_sum_inclusions():
+    rng = random.Random(3)
+    for alg in randgen.algebra_pool(21, 12):
+        for side in ("left", "right"):
+            eng = alg if side == "left" else alg.opposite()
+            verts = list(alg.quiver.vertices)
+            verts += rng.choices(verts, k=3)  # repeated vertices
+            projs = [projective_module(alg, v, side) for v in verts]
+            _, incls, _ = direct_sum(projs)
+            layout = projective_layout(eng, verts)
+            assert len(layout) == len(verts)
+            for v, proj, incl, entries in zip(verts, projs, incls, layout):
+                assert sorted(i for i, _, _ in entries) == list(eng.basis_by_source[v])
+                top = [0] * proj.dims[eng.quiver.index[v]]
+                top[0] = 1  # the trivial path leads the projective's basis
+                for i, tv, col in entries:
+                    local = proj.path_action(v, eng.basis[i].names).apply(top)
+                    ambient = incl.mats[tv].apply(local)
+                    assert ambient == [int(r == col) for r in range(len(ambient))]

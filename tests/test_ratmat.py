@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from syzkit.errors import DimensionMismatch
-from syzkit.ratmat import QMatrix, rowspace_contains, solve_columns, solve_right
+from syzkit.ratmat import (QMatrix, _int_row, nullspace, rowspace_contains, solve_columns,
+                           solve_right)
 
 
 def test_rank_identity_and_zero():
@@ -90,3 +91,23 @@ def test_matmul_exactness():
 def test_solve_columns_consistency():
     a = QMatrix.from_rows([[1, 0], [0, 0]])
     assert solve_columns(a, QMatrix.from_rows([[1], [1]])) is None
+
+
+def test_nullspace_rank_deficient_property():
+    rng = random.Random(11)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 4))]
+        # append combinations of the base rows, so the rows are rank deficient
+        rows = base + [[sum(rng.randint(-2, 2) * r[j] for r in base) for j in range(ncols)]
+                       for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        rank = QMatrix(len(rows), ncols, rows).rank()
+        free, vectors = nullspace([_int_row(dict(enumerate(r))) for r in rows], ncols)
+        assert len(vectors) == len(free) == ncols - rank
+        for f, vec in zip(free, vectors):
+            assert len(vec) == ncols
+            assert all(vec[g] == (1 if g == f else 0) for g in free)
+            for r in rows:
+                assert sum(a * x for a, x in zip(r, vec)) == 0
