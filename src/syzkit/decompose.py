@@ -20,7 +20,7 @@ from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
                      WitnessSearchExhausted, ZeroModuleError)
 from .modules import (ModMorphism, hom_basis, identity_morphism,
                       kernel_module, top_counts)
-from .ratmat import Echelon, QMatrix, _int_row, solve_right
+from .ratmat import Echelon, QMatrix, _ZERO, _int_row, solve_right
 
 Frac = Fraction
 
@@ -38,6 +38,31 @@ def _linear_combination(coeffs, basis):
     return out
 
 
+def _entries_by_row(f):
+    """Nonzero entries of a morphism as {position: Fraction}, each vertex
+    block read row by row, blocks in vertex order."""
+    entries = itertools.chain.from_iterable(row for m in f.mats for row in m.data)
+    return {p: x for p, x in enumerate(entries) if x}
+
+
+def _entries_by_col(f):
+    """The same for the transposed blocks: each block read column by column."""
+    entries = itertools.chain.from_iterable(col for m in f.mats for col in zip(*m.data))
+    return {p: x for p, x in enumerate(entries) if x}
+
+
+def _trace_of_composite(g_rows, f_cols):
+    """tr(g o f) = sum_v sum_ij G_v[i][j] F_v[j][i], from _entries_by_row(g)
+    and _entries_by_col(f): a sparse dot product, no matrix product formed."""
+    a, b = (g_rows, f_cols) if len(g_rows) <= len(f_cols) else (f_cols, g_rows)
+    t = _ZERO
+    for p, x in a.items():
+        y = b.get(p)
+        if y is not None:
+            t += x * y
+    return t
+
+
 class EndRing:
     """Endomorphism ring data: a basis of morphisms and the trace Gram matrix."""
 
@@ -46,9 +71,11 @@ class EndRing:
         self.basis = basis
         k = len(basis)
         self.gram = QMatrix.zeros(k, k)
+        rows = [_entries_by_row(f) for f in basis]
+        cols = [_entries_by_col(f) for f in basis]
         for i in range(k):
             for j in range(i, k):
-                t = basis[i].compose(basis[j]).trace()
+                t = _trace_of_composite(rows[i], cols[j])
                 self.gram.data[i][j] = t
                 self.gram.data[j][i] = t
 
@@ -155,7 +182,7 @@ def minimal_polynomial(phi):
         while True:
             f = flat(vec)
             row = _int_row({i: x for i, x in enumerate(f) if x})
-            local_rows.append([Frac(x) for x in f])
+            local_rows.append(f)
             if not local_ech.insert(dict(row)):
                 break
             if global_ech.insert(dict(row)):
@@ -374,11 +401,16 @@ def _trace_pairing_nonzero(m, n):
     bwd = hom_basis(n, m)
     if not bwd:
         return False
+    return any(_pairing_traces(fwd, bwd))
+
+
+def _pairing_traces(fwd, bwd):
+    """tr(g o f) for f in fwd (outer) and g in bwd (inner), lazily."""
+    g_rows = [_entries_by_row(g) for g in bwd]
     for f in fwd:
-        for g in bwd:
-            if g.compose(f).trace():
-                return True
-    return False
+        f_cols = _entries_by_col(f)
+        for g in g_rows:
+            yield _trace_of_composite(g, f_cols)
 
 
 def is_isomorphic(m, n, check=True):

@@ -506,11 +506,10 @@ def hom_basis(m, n):
     for flat in nullspace(rows, total)[1]:
         mats = []
         for v in range(nv):
-            mat = QMatrix.zeros(n.dims[v], m.dims[v])
-            for i in range(n.dims[v]):
-                for j in range(m.dims[v]):
-                    mat.data[i][j] = flat[unknown(v, i, j)]
-            mats.append(mat)
+            o, w = offsets[v], m.dims[v]   # row i of block v: unknowns (v, i, 0..w)
+            mats.append(QMatrix._of(n.dims[v], w,
+                                    [flat[o + i * w:o + (i + 1) * w]
+                                     for i in range(n.dims[v])]))
         basis.append(ModMorphism(m, n, mats, validate=False))
     return basis
 

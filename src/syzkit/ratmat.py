@@ -149,6 +149,16 @@ class QMatrix:
                 if len(row) != ncols:
                     raise DimError(f"ragged row: expected {ncols} columns")
 
+    @classmethod
+    def _of(cls, nrows, ncols, data):
+        """Wrap rows that already hold Fractions: no coercion, no shape scan.
+        The matrix takes ownership of the row lists."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.data = data
+        return m
+
     @staticmethod
     def from_rows(rows, ncols=None):
         rows = [list(r) for r in rows]
@@ -197,7 +207,7 @@ class QMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return QMatrix(
+        return QMatrix._of(
             self.nrows,
             self.ncols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
@@ -205,7 +215,7 @@ class QMatrix:
 
     def __sub__(self, other):
         self._same_shape(other)
-        return QMatrix(
+        return QMatrix._of(
             self.nrows,
             self.ncols,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
@@ -216,7 +226,8 @@ class QMatrix:
 
     def scale(self, c):
         c = Fraction(c)
-        return QMatrix(self.nrows, self.ncols, [[c * x for x in row] for row in self.data])
+        return QMatrix._of(self.nrows, self.ncols,
+                           [[c * x for x in row] for row in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, QMatrix):
@@ -249,13 +260,15 @@ class QMatrix:
         return out
 
     def transpose(self):
-        return QMatrix(self.ncols, self.nrows, [list(col) for col in zip(*self.data)]) \
-            if self.nrows else QMatrix(self.ncols, 0)
+        if not self.nrows:
+            return QMatrix(self.ncols, 0)
+        return QMatrix._of(self.ncols, self.nrows, [list(col) for col in zip(*self.data)])
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise DimError("column count mismatch in vstack")
-        return QMatrix(self.nrows + other.nrows, self.ncols, self.tolist() + other.tolist())
+        return QMatrix._of(self.nrows + other.nrows, self.ncols,
+                           self.tolist() + other.tolist())
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -277,12 +290,12 @@ class QMatrix:
             for c, v in r.items():
                 vec[c] = v
             rows.append(vec)
-        return QMatrix(len(rows), self.ncols, rows)
+        return QMatrix._of(len(rows), self.ncols, rows)
 
     def kernel_rows(self):
         """Rows spanning the right null space {x : self * x = 0}."""
         _, rows = nullspace(self._int_rows(), self.ncols)
-        return QMatrix(len(rows), self.ncols, rows)
+        return QMatrix._of(len(rows), self.ncols, rows)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows

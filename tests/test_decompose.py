@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from syzkit.decompose import (end_ring, is_indecomposable, is_isomorphic,
-                              iso_witness, krull_schmidt, modules_isomorphic,
-                              radical_of_end, registry_for, split_once)
+from syzkit.decompose import (_pairing_traces, _trace_pairing_nonzero, end_ring,
+                              is_indecomposable, is_isomorphic, iso_witness,
+                              krull_schmidt, modules_isomorphic, radical_of_end,
+                              registry_for, split_once)
 from syzkit.errors import ZeroModuleError
-from syzkit.homology import syzygy
-from syzkit.modules import (direct_sum, projective_module, simple_module,
-                            zero_module)
+from syzkit.homology import injective_indecomposables, syzygy
+from syzkit.modules import (direct_sum, hom_basis, projective_module,
+                            simple_module, zero_module)
+from syzkit.orders import presentation_from_valued_quiver
 
 import cases
+import randgen
 
 
 def test_end_of_simple_is_field(ex_five):
@@ -159,3 +163,54 @@ def test_registry_shared_ids(ex_five):
     reg = registry_for(ex_five, "right")
     s = simple_module(ex_five, "3", "right")
     assert reg.register(s) == reg.register(s)
+
+
+def _differential_modules():
+    """Projectives, injectives and first syzygies of the injectives and
+    simples, left and right, over seeded monomial algebras, K[x,y]/(x^2, y^2)
+    and two tiled orders."""
+    algebras = randgen.algebra_pool(5, 4) + [cases.local_two_loop_algebra()]
+    algebras += [presentation_from_valued_quiver(vq) for vq in
+                 (cases.six_vertex_order_quiver(), cases.gorenstein_order_quiver())]
+    for alg in algebras:
+        for side in ("left", "right"):
+            for v in alg.quiver.vertices:
+                yield projective_module(alg, v, side)
+            injectives = injective_indecomposables(alg, side)
+            yield from injectives
+            simples = [simple_module(alg, v, side) for v in alg.quiver.vertices]
+            for m in injectives + simples:
+                omega = syzygy(m)
+                if not omega.is_zero():
+                    yield omega
+
+
+def test_trace_form_matches_composite_traces():
+    """Every Gram entry and every trace pairing, read off by sparse dot
+    products, equals the trace of the composed morphism."""
+    pieces = []
+    checked = 0
+    for mod in _differential_modules():
+        e = end_ring(mod)
+        for i, f in enumerate(e.basis):
+            for j, g in enumerate(e.basis):
+                assert e.gram.data[i][j] == f.compose(g).trace()
+                checked += 1
+        pieces.extend(krull_schmidt(mod))
+    assert checked > 500
+    by_dims = {}    # indecomposables over one algebra, one side, equal dims
+    for piece in pieces:
+        key = (id(piece.algebra), piece.side, piece.dims)
+        by_dims.setdefault(key, []).append(piece)
+    outcomes = set()
+    uneven = 0
+    for group in by_dims.values():
+        for m, n in itertools.product(group[:6], repeat=2):
+            fwd, bwd = hom_basis(m, n), hom_basis(n, m)
+            traces = [g.compose(f).trace() for f in fwd for g in bwd]
+            assert list(_pairing_traces(fwd, bwd)) == traces
+            assert _trace_pairing_nonzero(m, n) == any(traces)
+            outcomes.add(any(traces))
+            uneven += len(fwd) != len(bwd)
+    assert outcomes == {False, True}
+    assert uneven > 0

@@ -111,3 +111,39 @@ def test_nullspace_rank_deficient_property():
             assert all(vec[g] == (1 if g == f else 0) for g in free)
             for r in rows:
                 assert sum(a * x for a, x in zip(r, vec)) == 0
+
+
+def _random_matrix(rng, nrows, ncols):
+    return QMatrix(nrows, ncols, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _all_fractions(m, shape):
+    return (m.shape == shape and len(m.data) == shape[0]
+            and all(len(row) == shape[1] for row in m.data)
+            and all(type(x) is Fraction for row in m.data for x in row))
+
+
+def test_derived_matrices_hold_fractions():
+    rng = random.Random(4)
+    for _ in range(40):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = _random_matrix(rng, r, c), _random_matrix(rng, r, c)
+        assert _all_fractions(a.transpose(), (c, r))
+        assert _all_fractions(a.vstack(b), (2 * r, c))
+        assert _all_fractions(a.scale(rng.randint(-2, 2)), (r, c))
+        assert _all_fractions(a + b, (r, c))
+        assert _all_fractions(a - b, (r, c))
+        rank = a.rank()
+        assert _all_fractions(a.kernel_rows(), (c - rank, c))
+        assert _all_fractions(a.row_space(), (rank, c))
+
+
+def test_public_constructor_still_coerces_and_checks():
+    m = QMatrix(2, 2, [[1, 2], [3, 4]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert m.data == [[1, 2], [3, 4]]
+    with pytest.raises(DimensionMismatch):
+        QMatrix(2, 2, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        QMatrix(3, 2, [[1, 2], [3, 4]])

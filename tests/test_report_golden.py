@@ -67,3 +67,16 @@ def test_report_matches_golden(name, data_dir, capsys):
     assert got == want
     expected_code = 2 if want["status"] == "open-at-budget" else 0
     assert code == expected_code
+
+
+def test_deep_syzygy_type_matches_bench_answer(capsys):
+    """syzygy-type of loc.alg at budget 14, against the answer the benchmark
+    records for it (read only)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "expected.json")) as fh:
+        want = json.load(fh)["syzygy_deep"]
+    argv = [a.replace("{root}", root) for a in want["argv"]]
+    code, doc = run_command(argv)
+    capsys.readouterr()
+    assert code == want["exit"] == 2
+    assert json.loads(json.dumps(_project(doc))) == want["projection"]
