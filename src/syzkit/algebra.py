@@ -152,8 +152,15 @@ class BasisPath:
         return len(self.names)
 
 
+_ONE = Fraction(1)
+
+
 class _PathUF:
-    """Union-find over path keys carrying key = weight * root, plus zero flags."""
+    """Union-find over path keys carrying key = weight * root, plus zero flags.
+
+    Unit weights are the shared _ONE, so the common case multiplies nothing;
+    a root always has weight _ONE.
+    """
 
     def __init__(self):
         self.parent = {}
@@ -163,24 +170,32 @@ class _PathUF:
     def add(self, key):
         if key not in self.parent:
             self.parent[key] = key
-            self.weight[key] = Fraction(1)
+            self.weight[key] = _ONE
 
     def find(self, key):
-        chain = []
-        while self.parent[key] != key:
+        parent = self.parent
+        up = parent[key]
+        if up == key:
+            return key
+        chain = [key]
+        key = up
+        while parent[key] != key:
             chain.append(key)
-            key = self.parent[key]
-        w = Fraction(1)
-        for k in reversed(chain):
-            w *= self.weight[k]
-            self.parent[k] = key
-            self.weight[k] = w
+            key = parent[key]
         # after compression each chain node points at the root with the full weight
+        weight = self.weight
+        w = _ONE
+        for k in reversed(chain):
+            wk = weight[k]
+            if wk is not _ONE:
+                w = wk if w is _ONE else w * wk
+            parent[k] = key
+            weight[k] = w
         return key
 
     def coeff_to_root(self, key):
         root = self.find(key)
-        return root, self.weight[key] if key != root else Fraction(1)
+        return root, self.weight[key]
 
     def mark_zero(self, key):
         self.zero_roots.add(self.find(key))
@@ -192,15 +207,25 @@ class _PathUF:
         """Impose k1 = c * k2."""
         r1, c1 = self.coeff_to_root(k1)
         r2, c2 = self.coeff_to_root(k2)
+        c_c2 = _times(c, c2)
         if r1 == r2:
-            if c1 != c * c2:
+            if c1 is not c_c2 and c1 != c_c2:
                 self.zero_roots.add(r1)
             return
         # r1 = (c*c2/c1) * r2
         self.parent[r1] = r2
-        self.weight[r1] = c * c2 / c1
+        self.weight[r1] = c_c2 if c1 is _ONE else c_c2 / c1
         if r1 in self.zero_roots:
             self.zero_roots.add(r2)
+
+
+def _times(a, b):
+    """a * b, with no arithmetic when either factor is the shared _ONE."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    return a * b
 
 
 class _Closure:
@@ -244,6 +269,7 @@ class _Closure:
     def _apply(self, rel):
         src, tgt = rel.endpoints(self.quiver)
         longest = max(rel.term_lengths())
+        coeff = _ONE if rel.coeff == 1 else rel.coeff
         uf = self.uf
         for lb in range(0, self.W - longest + 1):
             pres = self.by_target_len.get((src, lb), ())
@@ -264,7 +290,7 @@ class _Closure:
                         if rel.other is None:
                             uf.mark_zero(k1)
                         else:
-                            uf.union_equal(k1, rel.coeff, (bsrc, right + anames))
+                            uf.union_equal(k1, coeff, (bsrc, right + anames))
 
     def find_nilpotency(self, cap):
         """Least N <= cap with every path of length N in the ideal, after the
@@ -299,8 +325,7 @@ class _Closure:
                     continue
                 root = self.uf.find(k)
                 classes.setdefault(root, []).append(k)
-        canon = {root: min(members, key=lambda k: (len(k[1]), k[1], k[0]))
-                 for root, members in classes.items()}
+        canon = {root: min(members, key=_rep_order) for root, members in classes.items()}
         sig = {}
         for length in range(0, N):
             for k in self.keys_by_len[length]:
@@ -310,8 +335,13 @@ class _Closure:
                     root, c = self.uf.coeff_to_root(k)
                     crep = canon[root]
                     _, ccoeff = self.uf.coeff_to_root(crep)
-                    sig[k] = (c / ccoeff, crep)
+                    sig[k] = (c if ccoeff is _ONE else c / ccoeff, crep)
         return sig
+
+
+def _rep_order(key):
+    """Order that picks a class's representative: its least member."""
+    return len(key[1]), key[1], key[0]
 
 
 class AlgebraPresentation:
@@ -399,11 +429,33 @@ class AlgebraPresentation:
                    if self.basis[i].target == target)
 
     def opposite(self):
-        """Presentation over the reversed quiver; right modules are left modules over it."""
+        """Presentation over the reversed quiver; right modules are left modules over it.
+
+        Path reversal maps the ideal I onto I^op, so the class map carries
+        over: a path (s, p) of this algebra becomes (t, reversed p) there,
+        each class keeps its reversed members, and its representative is
+        re-picked as the least reversed member.  If k = a * rep and the new
+        representative m = b * rep, then k = (a / b) * m.
+        """
         if self._op is None:
-            op = build_algebra(self.quiver.opposite(),
-                               [r.reversed() for r in self.relations],
-                               length_cap=self.length_cap)
+            members = [[] for _ in self.basis]
+            sig = {}
+            target = {}
+            for (src, names), val in self._class.items():
+                tgt = self.quiver.arrow_map[names[-1]].target if names else src
+                key = (tgt, names[::-1])
+                target[key] = src
+                if val is None:
+                    sig[key] = None
+                else:
+                    members[val[1]].append((key, val[0]))
+            for cls in members:
+                rep, b = min(cls, key=lambda m: _rep_order(m[0]))
+                for key, a in cls:
+                    sig[key] = (a if b == 1 else a / b, rep)
+            op = _finalize(self.quiver.opposite(), [r.reversed() for r in self.relations],
+                           self.nilpotency, self.working_len, self.length_cap,
+                           sig, target.__getitem__)
             if op.dim != self.dim:
                 raise IllFormedRelation(
                     f"opposite algebra dimension {op.dim} != {self.dim}; relations ill-formed")
@@ -446,14 +498,15 @@ def build_algebra(quiver, relations, length_cap=12, max_paths=400_000):
         needed = max(N + lrel, 2 * (N - 1), N + 1)
         sig = closure.signature(N)
         if W >= needed and prev is not None and prev == (N, sig):
-            return _finalize(quiver, relations, closure, N, W, length_cap, sig)
+            return _finalize(quiver, relations, N, W, length_cap, sig, closure.tgt.__getitem__)
         prev = (N, sig)
         W = max(W + 1, needed)
 
 
-def _finalize(quiver, relations, closure, N, W, length_cap, sig):
-    """Basis and class map from the converged signature of the last pass;
-    paths of length >= N never reach the class map (class_of returns None)."""
+def _finalize(quiver, relations, N, W, length_cap, sig, target_of):
+    """Basis and class map from a converged signature (key -> None or
+    (coeff, representative key)); target_of(key) is the path's target vertex.
+    Paths of length >= N never reach the class map (class_of returns None)."""
     reps = {val[1] for val in sig.values() if val is not None}
     # trivial paths first, in quiver vertex order; then by length and names
     ordered = sorted(reps, key=lambda k: (len(k[1]), k[1], quiver.index[k[0]]))
@@ -461,7 +514,7 @@ def _finalize(quiver, relations, closure, N, W, length_cap, sig):
     rep_to_idx = {}
     for idx, k in enumerate(ordered):
         src, names = k
-        basis.append(BasisPath(idx, src, closure.tgt[k], names))
+        basis.append(BasisPath(idx, src, target_of(k), names))
         rep_to_idx[k] = idx
     for a in quiver.arrows:
         k = (a.source, (a.name,))

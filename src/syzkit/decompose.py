@@ -40,15 +40,16 @@ def _linear_combination(coeffs, basis):
 
 def _entries_by_row(f):
     """Nonzero entries of a morphism as {position: Fraction}, each vertex
-    block read row by row, blocks in vertex order."""
+    block read row by row, blocks in vertex order.  The shared zero is
+    skipped by identity; any other zero falls back to its truth value."""
     entries = itertools.chain.from_iterable(row for m in f.mats for row in m.data)
-    return {p: x for p, x in enumerate(entries) if x}
+    return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
 
 
 def _entries_by_col(f):
     """The same for the transposed blocks: each block read column by column."""
     entries = itertools.chain.from_iterable(col for m in f.mats for col in zip(*m.data))
-    return {p: x for p, x in enumerate(entries) if x}
+    return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
 
 
 def _trace_of_composite(g_rows, f_cols):

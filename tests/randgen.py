@@ -1,10 +1,12 @@
-"""Seeded random generators for the property suites: small monomial algebras
-and random quotient modules, all exact and deterministic per seed."""
+"""Seeded random generators for the property suites: small monomial and
+binomial algebras and random quotient modules, all exact and deterministic
+per seed."""
 
 import random
 from fractions import Fraction
 
 from syzkit.algebra import Quiver, Relation, build_algebra
+from syzkit.errors import PathBudgetExceeded
 from syzkit.modules import direct_sum, projective_module, quotient_module
 from syzkit.ratmat import QMatrix
 
@@ -41,6 +43,46 @@ def random_monomial_algebra(rng):
             continue
         if alg.dim <= 20:
             return alg
+
+
+BINOMIAL_COEFFS = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 4))
+
+
+def random_binomial_algebra(rng):
+    """A random nilpotent algebra with binomial relations: <= 3 vertices,
+    <= 4 arrows, every path of length 3 or 4 killed, and up to three
+    relations p = c * q between distinct paths of length 2 or 3 with the
+    same endpoints, c drawn from BINOMIAL_COEFFS.  Quivers whose closure
+    needs more than 3000 paths are drawn again."""
+    while True:
+        nv = rng.randint(1, 3)
+        vertices = [str(i + 1) for i in range(nv)]
+        arrows = [(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+                  for i in range(rng.randint(2, 4))]
+        quiver = Quiver(vertices, arrows)
+        kill_len = rng.choice((3, 4))
+        ends = {}
+        for length in range(2, kill_len):
+            for p in _paths_of_length(quiver, length):
+                src = quiver.path_source_of(p)
+                ends.setdefault((src, quiver.path_target(src, p)), []).append(p)
+        pairs = [(p, q) for group in ends.values() for p in group for q in group if p != q]
+        if not pairs:
+            continue
+        relations = [Relation.zero(p) for p in _paths_of_length(quiver, kill_len)]
+        for p, q in rng.sample(pairs, min(len(pairs), rng.randint(1, 3))):
+            relations.append(Relation.equal(p, rng.choice(BINOMIAL_COEFFS), q))
+        try:
+            alg = build_algebra(quiver, relations, length_cap=6, max_paths=3000)
+        except PathBudgetExceeded:
+            continue
+        if alg.dim <= 30:
+            return alg
+
+
+def binomial_pool(seed, count):
+    rng = random.Random(seed)
+    return [random_binomial_algebra(rng) for _ in range(count)]
 
 
 def _paths_of_length(quiver, length):

@@ -1,11 +1,19 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
 from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.errors import IllFormedRelation, NotNilpotent
+from syzkit.formats import parse_algebra, parse_order
+from syzkit.orders import (ValuedQuiver, presentation_from_valued_quiver,
+                           valued_quiver_from_exponents)
 
+import cases
+import randgen
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_three_loop_basis(ex_three_loop):
@@ -145,3 +153,56 @@ def test_binomial_endpoint_mismatch_rejected():
     rel = Relation("equal", ("a",), 1, ("c",), allow_short=True)
     with pytest.raises(IllFormedRelation):
         rel.validate(q)
+
+
+def _relation_terms(relations):
+    return [(r.kind, r.path, r.coeff, r.other, r.allow_short) for r in relations]
+
+
+def _assert_opposite_is_reversed_closure(a):
+    """opposite() (derived from the class map) equals an independent ideal
+    closure of the reversed relations over the reversed quiver."""
+    op = a.opposite()
+    ref = build_algebra(a.quiver.opposite(), [r.reversed() for r in a.relations],
+                        length_cap=a.length_cap)
+    assert op.nilpotency == ref.nilpotency
+    assert op.basis == ref.basis
+    assert op._class == ref._class
+    assert _relation_terms(op.relations) == _relation_terms(ref.relations)
+    assert op.quiver.arrows == ref.quiver.arrows
+    assert op.opposite() is a
+
+
+def _order_presentation(text):
+    order = parse_order(text)
+    if not isinstance(order, ValuedQuiver):
+        order = valued_quiver_from_exponents(order)
+    return presentation_from_valued_quiver(order)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(DATA)
+                                        if n.endswith((".alg", ".ord"))))
+def test_derived_opposite_matches_closure_on_data_files(name):
+    with open(os.path.join(DATA, name)) as fh:
+        text = fh.read()
+    a = _order_presentation(text) if name.endswith(".ord") else parse_algebra(text)
+    _assert_opposite_is_reversed_closure(a)
+
+
+@pytest.mark.parametrize("make", [cases.six_vertex_order_quiver, cases.gorenstein_order_quiver])
+def test_derived_opposite_matches_closure_on_tiled_orders(make):
+    _assert_opposite_is_reversed_closure(presentation_from_valued_quiver(make()))
+
+
+def test_derived_opposite_matches_closure_on_random_pools():
+    monomial = randgen.algebra_pool(0x0B, 100)
+    binomial = randgen.binomial_pool(0xB1, 60)
+    for a in monomial + binomial:
+        _assert_opposite_is_reversed_closure(a)
+    # the binomial pool exercises the rescaling: classes whose least member
+    # changes under reversal, and coefficients other than 1
+    moved = sum(1 for a in binomial for b in a.basis
+                if (b.target, b.names[::-1]) not in a.opposite().basis_index)
+    scaled = sum(1 for a in binomial for v in a.opposite()._class.values()
+                 if v is not None and v[0] != 1)
+    assert moved >= 5 and scaled >= 20

@@ -2,6 +2,7 @@
 shares no code path with the primary implementation."""
 
 import random
+from fractions import Fraction
 
 from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.decompose import registry_for
@@ -131,3 +132,38 @@ def test_scalar_binomial_coefficients_propagate():
     assert cxy[0] / cyx[0] == 2
     nf = alg.element_normal_form([(1, "1", ("x", "y")), (-2, "1", ("y", "x"))])
     assert nf == {}
+
+
+def test_binomial_coefficients_conflict_or_agree():
+    """One vertex, loops x and y, x^2 = y^2 = 0.  xy = 2yx with yx = 2xy
+    gives xy = 4xy, so both composites die (dim 3); xy = 2yx with
+    yx = (1/2)xy agree, so they share one class with ratio 2 (dim 4)."""
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    squares = [Relation.zero(("x", "x")), Relation.zero(("y", "y"))]
+    xy_2yx = Relation.equal(("x", "y"), 2, ("y", "x"))
+
+    dead = build_algebra(q, squares + [xy_2yx, Relation.equal(("y", "x"), 2, ("x", "y"))])
+    assert dead.dim == 3
+    assert dead.class_of("1", ("x", "y")) is None
+    assert dead.class_of("1", ("y", "x")) is None
+
+    alive = build_algebra(q, squares + [xy_2yx,
+                                        Relation.equal(("y", "x"), Fraction(1, 2), ("x", "y"))])
+    assert alive.dim == 4
+    cxy = alive.class_of("1", ("x", "y"))
+    cyx = alive.class_of("1", ("y", "x"))
+    assert cxy[1] == cyx[1]
+    assert cxy[0] / cyx[0] == 2
+
+
+def test_binomial_union_through_a_weighted_path():
+    """ad = 2bd, then ad = 3cd: the second union starts from ad = 2 * root,
+    so the closure must divide by that weight (bd = (3/2)cd, not 3cd)."""
+    q = Quiver(["1", "m", "2"], [("a", "1", "m"), ("b", "1", "m"), ("c", "1", "m"),
+                                 ("d", "m", "2")])
+    alg = build_algebra(q, [Relation.equal(("a", "d"), 2, ("b", "d")),
+                            Relation.equal(("a", "d"), 3, ("c", "d"))])
+    assert alg.dim == 8
+    (ca, ia), (cb, ib), (cc, ic) = (alg.class_of("1", (x, "d")) for x in "abc")
+    assert ia == ib == ic
+    assert (ca / cc, cb / cc) == (3, Fraction(3, 2))
