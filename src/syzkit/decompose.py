@@ -10,6 +10,23 @@ power traces zero, hence is nilpotent by Newton's identities.  Second, for
 indecomposables m and n, any composition m -> n -> m that is not an
 isomorphism lands in the (local) radical of End(m), so m and n are
 isomorphic iff the trace pairing Hom(m,n) x Hom(n,m) -> Q is nonzero.
+
+Splitting takes three exact shortcuts before the general path (minimal
+polynomial of a candidate endomorphism, factored over Q by sympy):
+
+* A module with a simple top or a simple socle is indecomposable without an
+  End ring: End(m) -> End(top m) = Q (or End(soc m) = Q) is onto, and its
+  kernel maps m into Jm (or kills soc m), so it is nilpotent; End(m)/rad = Q.
+* A candidate in rad End(m) is skipped: it is nilpotent, its minimal
+  polynomial is a power of x, and that never splits m.  phi is radical iff
+  tr(phi o b) = 0 for every basis element b, i.e. iff its coordinates
+  annihilate the Gram matrix, so a radical basis element has a zero Gram row.
+* A non-scalar idempotent splits as ker(phi - 1) (+) ker(phi) at once, the
+  pieces and order the general path gives for its minimal polynomial x^2 - x
+  (factor_over_rationals sorts x - 1 before x).
+
+Neither skip changes which candidate splits first, so the pieces, their order
+and the class ids built on them are those of the general path alone.
 """
 
 import itertools
@@ -19,7 +36,7 @@ from fractions import Fraction
 from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
                      WitnessSearchExhausted, ZeroModuleError)
 from .modules import (ModMorphism, hom_basis, identity_morphism,
-                      kernel_module, top_counts)
+                      kernel_module, socle_counts, top_counts)
 from .ratmat import Echelon, QMatrix, _ZERO, _int_row, solve_right
 
 Frac = Fraction
@@ -317,19 +334,47 @@ def _split_by_endo(m, phi):
     return piece1, piece2
 
 
+def _split_by_idempotent(phi):
+    """m = ker(phi - 1) (+) ker(phi) for a non-scalar idempotent phi, built by
+    the same kernel_module calls _split_by_endo makes for x^2 - x."""
+    piece1, _ = kernel_module(_poly_eval_morphism([Frac(-1), Frac(1)], phi))
+    piece2, _ = kernel_module(_poly_eval_morphism([Frac(0), Frac(1)], phi))
+    return piece1, piece2
+
+
+def _outside_radical(coeffs, gram):
+    """True iff sum c_i basis[i] is outside rad End: coeffs . Gram != 0."""
+    return any(sum(c * x for c, x in zip(coeffs, row) if c) for row in gram)
+
+
 def _candidate_endos(e, rng):
+    """Candidate splitting endomorphisms outside rad End(m), in a fixed order:
+    the basis, products and sums of pairs from its first ten elements, then
+    seeded random combinations.  Radical candidates are skipped, unbuilt where
+    their coordinates are known; a product with a radical factor is radical."""
     basis = e.basis
-    for f in basis:
-        yield f
-    head = basis[:10]  # pairwise products of a large basis get expensive fast
-    for f, g in itertools.combinations(head, 2):
-        yield f.compose(g)
-        yield g.compose(f)
-        yield f.add(g)
+    gram = e.gram.data
+    outside = [any(row) for row in gram]
+    for f, keep in zip(basis, outside):
+        if keep:
+            yield f
+    cols = None
+    # pairwise products of a large basis get expensive fast
+    for i, j in itertools.combinations(range(min(len(basis), 10)), 2):
+        f, g = basis[i], basis[j]
+        if outside[i] and outside[j]:
+            if cols is None:
+                cols = [_entries_by_col(b) for b in basis]
+            for phi in (f.compose(g), g.compose(f)):
+                rows = _entries_by_row(phi)
+                if any(_trace_of_composite(rows, c) for c in cols):
+                    yield phi
+        if any(a + b for a, b in zip(gram[i], gram[j])):
+            yield f.add(g)
     k = len(basis)
     for _ in range(_SPLIT_RANDOM_TRIES):
         coeffs = [Frac(rng.randint(-3, 3)) for _ in range(k)]
-        if any(coeffs):
+        if _outside_radical(coeffs, gram):
             yield e.combo(coeffs)
 
 
@@ -349,12 +394,20 @@ def split_once(m, _end=None):
     for phi in _candidate_endos(e, rng):
         if _is_scalar(phi):
             continue
+        if phi.compose(phi).mats == phi.mats:
+            return _split_by_idempotent(phi)
         pieces = _split_by_endo(m, phi)
         if pieces is not None:
             return pieces
     raise ExtensionFieldAmbiguity(
         "End(m)/rad has dimension > 1 but no splitting was found; "
         "m is indecomposable over Q but may split over an extension field")
+
+
+def _has_simple_top_or_socle(m):
+    """True when a nonzero module is local or colocal, hence indecomposable
+    with End(m)/rad = Q; the socle is computed only when the top is not simple."""
+    return sum(top_counts(m)) == 1 or sum(socle_counts(m)) == 1
 
 
 def is_indecomposable(m):
@@ -365,6 +418,8 @@ def is_indecomposable(m):
     """
     if m.is_zero():
         raise ZeroModuleError("the zero module is not indecomposable")
+    if _has_simple_top_or_socle(m):
+        return True
     e = end_ring(m)
     if e.semisimple_dim() == 1:
         return True
@@ -379,6 +434,9 @@ def krull_schmidt(m):
     stack = [m]
     while stack:
         x = stack.pop()
+        if _has_simple_top_or_socle(x):
+            out.append(x)
+            continue
         e = end_ring(x)
         if e.semisimple_dim() == 1:
             out.append(x)

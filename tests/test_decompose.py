@@ -1,17 +1,22 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from syzkit import decompose
 from syzkit.decompose import (_pairing_traces, _trace_pairing_nonzero, end_ring,
-                              is_indecomposable, is_isomorphic, iso_witness,
-                              krull_schmidt, modules_isomorphic, radical_of_end,
-                              registry_for, split_once)
-from syzkit.errors import ZeroModuleError
+                              factor_over_rationals, is_indecomposable,
+                              is_isomorphic, iso_witness, krull_schmidt,
+                              minimal_polynomial, modules_isomorphic,
+                              radical_of_end, registry_for, split_once)
+from syzkit.errors import ExtensionFieldAmbiguity, ZeroModuleError
 from syzkit.homology import injective_indecomposables, syzygy
-from syzkit.modules import (direct_sum, hom_basis, projective_module,
-                            simple_module, zero_module)
+from syzkit.modules import (ModMorphism, direct_sum, hom_basis,
+                            identity_morphism, kernel_module, projective_module,
+                            simple_module, top_counts, zero_module)
 from syzkit.orders import presentation_from_valued_quiver
+from syzkit.repetition import _test_module_side
 
 import cases
 import randgen
@@ -214,3 +219,250 @@ def test_trace_form_matches_composite_traces():
             uneven += len(fwd) != len(bwd)
     assert outcomes == {False, True}
     assert uneven > 0
+
+
+# -- frozen reference: the split loop before its shortcuts ---------------------
+# Every popped module gets an End ring, and every non-scalar candidate gets a
+# minimal polynomial and a factoring over Q.
+
+
+def _reference_candidates(e, rng):
+    """(kind, candidate) in the order the split loop tries them."""
+    basis = e.basis
+    for f in basis:
+        yield "basis", f
+    for f, g in itertools.combinations(basis[:10], 2):
+        yield "product", f.compose(g)
+        yield "product", g.compose(f)
+        yield "sum", f.add(g)
+    for _ in range(300):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(len(basis))]
+        if any(coeffs):
+            yield "random", e.combo(coeffs)
+
+
+def _reference_is_scalar(phi):
+    ident = identity_morphism(phi.source)
+    c = phi.trace() / phi.source.total_dim
+    return all((a - b.scale(c)).is_zero() for a, b in zip(phi.mats, ident.mats))
+
+
+def _reference_poly_at(p, phi):
+    """p(phi) by Horner, one vertex block at a time."""
+    mats = []
+    for a, one in zip(phi.mats, identity_morphism(phi.source).mats):
+        block = one.scale(0)
+        for c in reversed(p):
+            block = a * block + one.scale(c)
+        mats.append(block)
+    return ModMorphism(phi.source, phi.source, mats, validate=False)
+
+
+def _reference_poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _reference_split_by_endo(m, phi):
+    p = minimal_polynomial(phi)
+    if len(p) <= 2:
+        return None
+    factors = factor_over_rationals(p)
+    if len(factors) < 2:
+        return None
+    g1 = [Fraction(1)]
+    for _ in range(factors[0][1]):
+        g1 = _reference_poly_mul(g1, factors[0][0])
+    g2 = [Fraction(1)]
+    for fac, mult in factors[1:]:
+        for _ in range(mult):
+            g2 = _reference_poly_mul(g2, fac)
+    piece1, _ = kernel_module(_reference_poly_at(g1, phi))
+    piece2, _ = kernel_module(_reference_poly_at(g2, phi))
+    if piece1.is_zero() or piece2.is_zero():
+        return None
+    if any(a + b != c for a, b, c in zip(piece1.dims, piece2.dims, m.dims)):
+        return None
+    return piece1, piece2
+
+
+def _reference_krull_schmidt(m):
+    out = []
+    stack = [m]
+    while stack:
+        x = stack.pop()
+        e = end_ring(x)
+        if e.semisimple_dim() == 1:
+            out.append(x)
+            continue
+        rng = random.Random(0x5A7A)
+        for _, phi in _reference_candidates(e, rng):
+            if _reference_is_scalar(phi):
+                continue
+            pieces = _reference_split_by_endo(x, phi)
+            if pieces is not None:
+                break
+        else:
+            raise ExtensionFieldAmbiguity("no splitting endomorphism")
+        stack.extend(pieces)
+    return out
+
+
+def _split_test_modules():
+    """Over seeded monomial and binomial algebras and both tiled orders, both
+    sides: the three findim root modules, the first and second syzygies of
+    every simple, and a few random quotients of sums of projectives."""
+    algebras = randgen.algebra_pool(0x5B, 6) + randgen.binomial_pool(0x5C, 5)
+    algebras += [presentation_from_valued_quiver(vq) for vq in
+                 (cases.six_vertex_order_quiver(), cases.gorenstein_order_quiver())]
+    rng = random.Random(0x5D)
+    for alg in algebras:
+        for side in ("left", "right"):
+            for _, root, _ in _test_module_side(alg, side):
+                yield root
+            for v in alg.quiver.vertices:
+                omega = syzygy(simple_module(alg, v, side))
+                for _ in range(2):
+                    if omega.is_zero():
+                        break
+                    yield omega
+                    omega = syzygy(omega)
+            for _ in range(2):
+                yield randgen.random_module(rng, alg, side)
+
+
+def _quadratic_field_modules():
+    """Kronecker modules with End/rad = Q(i), where no candidate splits and
+    the split loop reads its whole candidate stream: X (b a rotation), a
+    self-extension W of X (End = Q(i)[t]/(t^2)), and X (+) W."""
+    from syzkit.algebra import Quiver, build_algebra
+    from syzkit.modules import RepModule
+    from syzkit.ratmat import QMatrix
+
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [])
+    x = RepModule(alg, "left", (2, 2), {"a": QMatrix.identity(2),
+                                        "b": QMatrix.from_rows([[0, -1], [1, 0]])})
+    w = RepModule(alg, "left", (4, 4), {
+        "a": QMatrix.identity(4),
+        "b": QMatrix.from_rows([[0, -1, 1, 0], [1, 0, 0, 1],
+                                [0, 0, 0, -1], [0, 0, 1, 0]])})
+    return [x, w, direct_sum([x, w])[0]]
+
+
+def test_krull_schmidt_matches_the_unshortened_split_loop():
+    """The shortcuts (no End ring for local modules, no radical candidates,
+    direct idempotent splits) give the pieces of the frozen reference loop:
+    same order, same dims, identical action matrices."""
+    modules = pieces = splits = 0
+    for mod in _split_test_modules():
+        got = krull_schmidt(mod)
+        want = _reference_krull_schmidt(mod)
+        assert [p.dims for p in got] == [p.dims for p in want]
+        for a, b in zip(got, want):
+            assert a.act == b.act
+        modules += 1
+        pieces += len(got)
+        splits += len(got) > 1
+    assert modules > 200
+    assert splits > 50
+    assert pieces > 2 * modules
+    w = _quadratic_field_modules()[1]
+    with pytest.raises(ExtensionFieldAmbiguity):
+        _reference_krull_schmidt(w)
+    with pytest.raises(ExtensionFieldAmbiguity):
+        krull_schmidt(w)
+
+
+def test_candidates_are_the_reference_stream_minus_the_radical():
+    """The split loop's candidates are the unpruned stream with exactly the
+    elements phi of rad End(m) removed, read here as tr(phi o b) = 0 for every
+    basis element b by composing and tracing."""
+    mods = _quadratic_field_modules()
+    for alg in randgen.algebra_pool(0x60, 3) + randgen.binomial_pool(0x61, 3):
+        for side in ("left", "right"):
+            omegas = [syzygy(simple_module(alg, v, side)) for v in alg.quiver.vertices]
+            mods += [m for m in omegas if not m.is_zero()]
+            mods.append(_test_module_side(alg, side)[-1][1])
+    kept, skipped = set(), set()
+    for mod in mods:
+        e = end_ring(mod)
+        if e.dim > 8:
+            continue
+        want = []
+        for kind, phi in _reference_candidates(e, random.Random(0x5A7A)):
+            if any(phi.compose(b).trace() for b in e.basis):
+                want.append(phi.mats)
+                kept.add(kind)
+            else:
+                skipped.add(kind)
+        got = [phi.mats for phi in decompose._candidate_endos(e, random.Random(0x5A7A))]
+        assert got == want
+    kinds = {"basis", "product", "sum", "random"}
+    assert kept == kinds and skipped == kinds
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(decompose, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, name, counted)
+    return calls
+
+
+def test_local_and_colocal_modules_skip_the_end_ring(monkeypatch):
+    algebras = randgen.algebra_pool(0x5E, 4) + [cases.five_vertex_monomial_algebra()]
+    calls = _count_calls(monkeypatch, "end_ring")
+    colocal_only = 0
+    for alg in algebras:
+        for side in ("left", "right"):
+            mods = [simple_module(alg, v, side) for v in alg.quiver.vertices]
+            mods += [projective_module(alg, v, side) for v in alg.quiver.vertices]
+            injectives = injective_indecomposables(alg, side)
+            colocal_only += sum(sum(top_counts(i)) > 1 for i in injectives)
+            for m in mods + injectives:
+                assert is_indecomposable(m)
+                assert krull_schmidt(m) == [m]
+                assert is_isomorphic(m, m)
+    assert calls == []
+    assert colocal_only > 0     # the socle test is reached, not only the top
+
+
+def test_sum_of_two_projectives_splits_without_minimal_polynomials(monkeypatch):
+    calls = _count_calls(monkeypatch, "minimal_polynomial")
+    splits = 0
+    for alg in randgen.algebra_pool(0x5F, 4) + [cases.five_vertex_monomial_algebra()]:
+        verts = alg.quiver.vertices
+        for side in ("left", "right"):
+            for u, v in itertools.combinations(verts, 2):
+                p, q = projective_module(alg, u, side), projective_module(alg, v, side)
+                total, _, _ = direct_sum([p, q])
+                pieces = split_once(total)
+                assert sorted(x.dims for x in pieces) == sorted([p.dims, q.dims])
+                splits += 1
+    assert splits > 20
+    assert calls == []
+
+
+def test_non_idempotent_split_keeps_the_minimal_polynomial_path(monkeypatch):
+    # b = [[1, 1], [0, 2]] has minimal polynomial (x - 1)(x - 2) like the
+    # diagonal module of test_edge_cases.py, but End's basis element read off
+    # the Hom system is not idempotent (x^2 + x), so the general path splits it
+    from syzkit.algebra import Quiver, build_algebra
+    from syzkit.modules import RepModule
+    from syzkit.ratmat import QMatrix
+
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [])
+    calls = _count_calls(monkeypatch, "minimal_polynomial")
+    m = RepModule(alg, "left", (2, 2), {"a": QMatrix.identity(2),
+                                        "b": QMatrix.from_rows([[1, 1], [0, 2]])})
+    pieces = krull_schmidt(m)
+    assert [p.dims for p in pieces] == [(1, 1), (1, 1)]
+    assert len(calls) >= 1
+    assert [p.act for p in pieces] == [p.act for p in _reference_krull_schmidt(m)]
