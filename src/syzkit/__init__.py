@@ -11,7 +11,7 @@ from .graphs import layered_graph
 from .homology import (PdimResult, ResolutionTrace, ext_dims, idim_both_sides,
                        pdim, poincare_betti_truncated, projective_cover,
                        resolve, syzygy, tor1_dim)
-from .modules import (ModMorphism, RepModule, direct_sum, hom_basis,
+from .modules import (ModMorphism, RepModule, direct_sum, hom_basis, hom_dim,
                       projective_module, radical_filtration, simple_module,
                       socle_counts, tensor_dim, top_counts, zero_module)
 from .orders import (ExponentMatrix, ValuedQuiver, gldim_certificate,

@@ -50,6 +50,10 @@ class CatalogOpen(SyzkitError):
     """An operation required a closed syzygy catalog but the catalog is still open."""
 
 
+class BadBudget(SyzkitError, ValueError):
+    """A budget below the least value an operation accepts."""
+
+
 class InternalConsistencyError(SyzkitError):
     """Two independent computation paths disagreed; aborting rather than guessing."""
 

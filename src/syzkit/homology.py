@@ -8,9 +8,12 @@ module's own summand classes forces summand recurrence in all later degrees
 (the chain argument), certifying infinite projective dimension; a closed
 acyclic graph yields the exact finite value.  pdim, idim and the syzygy
 catalogs of repetition share one explorer of this graph (explore_classes) and
-one recurrence-chain certificate builder (recurrence_chain).  Covers and the
-Ext complexes find a path's column in a sum of projectives through
-modules.projective_layout; kernels come from ratmat.nullspace.
+one recurrence-chain certificate builder (recurrence_chain).  Covers find a
+path's column in a sum of projectives through modules.projective_layout;
+kernels come from ratmat.nullspace.  Ext needs no cochain complex: by
+dimension shift, dim Ext^i(m, n) = dim Hom(Omega^i m, n) - dim Hom(P_{i-1}, n)
++ dim Hom(Omega^{i-1} m, n), each Hom dimension the rank count of the one Hom
+system of modules.
 """
 
 from collections import deque
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
-from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum,
+from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
                       kernel_module, projective_layout, projective_module,
                       radical_rows, zero_module)
 from .ratmat import QMatrix, nullspace
@@ -38,7 +41,6 @@ class ProjectiveCover:
     summands: tuple        # vertex label per projective copy
     vertex_counts: tuple   # multiplicity of P_v per vertex index
     surjection: ModMorphism
-    generator_coords: tuple  # (vertex_index, position) of each copy's top generator
 
 
 def projective_cover(m):
@@ -58,7 +60,7 @@ def projective_cover(m):
         cov = zero_module(m.algebra, m.side)
         surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],
                            validate=False)
-        return ProjectiveCover(cov, (), (0,) * nv, surj, ())
+        return ProjectiveCover(cov, (), (0,) * nv, surj)
     summands = [quiver.vertices[v] for v, _ in lifts]
     cover, _, _ = direct_sum([projective_module(m.algebra, v, m.side) for v in summands])
     counts = [0] * nv
@@ -89,7 +91,7 @@ def projective_cover(m):
                     if kr.data[i][gc]:
                         raise InternalConsistencyError(
                             "cover kernel meets the top: cover not minimal")
-    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj, tuple(gen_coords))
+    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj)
 
 
 def syzygy_with_cover(m):
@@ -115,8 +117,6 @@ class DegreeRecord:
     cover_counts: tuple
     syzygy: RepModule
     classes: dict | None           # class_id -> multiplicity of the syzygy
-    cover: ProjectiveCover | None = None
-    inclusion: ModMorphism | None = None
 
 
 @dataclass
@@ -136,11 +136,12 @@ class ResolutionTrace:
         return self.records[degree - 1].classes
 
 
-def resolve(m, max_degree, classify=True, keep_maps=False):
+def resolve(m, max_degree, classify=True):
     """Iterate minimal covers and syzygies up to max_degree or until zero.
 
     Per-degree records carry the cover multiplicities, the syzygy module and
-    (optionally) its Krull-Schmidt class multiset; completed=False flags a
+    (optionally) its Krull-Schmidt class multiset: all that the dimension
+    shift of ext_dims reads, so no map is kept; completed=False flags a
     truncated run (budget exhaustion is a normal outcome).  Past degree one
     the multisets are propagated through the cached per-class first syzygies
     (minimal syzygies are additive over direct summands), so only small class
@@ -155,7 +156,7 @@ def resolve(m, max_degree, classify=True, keep_maps=False):
         if current.is_zero():
             completed = True
             break
-        syz, incl, cov = syzygy_with_cover(current)
+        syz, _, cov = syzygy_with_cover(current)
         classes = None
         if classify:
             if prev_classes is None:
@@ -171,9 +172,7 @@ def resolve(m, max_degree, classify=True, keep_maps=False):
                 raise InternalConsistencyError(
                     "propagated classes disagree with the explicit syzygy")
             prev_classes = classes
-        records.append(DegreeRecord(degree, cov.vertex_counts, syz, classes,
-                                    cov if keep_maps else None,
-                                    incl if keep_maps else None))
+        records.append(DegreeRecord(degree, cov.vertex_counts, syz, classes))
         current = syz
         if current.is_zero():
             completed = True
@@ -396,87 +395,21 @@ def idim_both_sides(algebra, budget=DEFAULT_BUDGET):
 
 
 def ext_dims(m, n, max_degree):
-    """[dim Ext^i(m, n)] for i = 0..max_degree, as cohomology of Hom(C_*, n)
-    along the minimal resolution C_* of m."""
+    """[dim Ext^i(m, n)] for i = 0..max_degree, by dimension shift along the
+    minimal resolution of m: with Omega^0 = m and P_{i-1} the cover of
+    Omega^{i-1}, 0 -> Hom(Omega^{i-1}, n) -> Hom(P_{i-1}, n) -> Hom(Omega^i, n)
+    -> Ext^i(m, n) -> 0 is exact."""
     if m.algebra is not n.algebra or m.side != n.side:
         raise SideMismatch("Ext needs same-side modules over one algebra")
     if max_degree < 0:
         return []
-    if m.is_zero():
-        return [0] * (max_degree + 1)
-    eng = m.engine_presentation()
-    quiver = eng.quiver
-    trace = resolve(m, max_degree + 2, classify=False, keep_maps=True)
-    covers = [rec.cover for rec in trace.records]  # covers[k] covers the k-th syzygy
-    # per cover: (vertex label, [(basis index, target vertex index, column)])
-    layouts = [list(zip(c.summands, projective_layout(eng, c.summands))) for c in covers]
-
-    def hom_dim_of(k):
-        if k >= len(covers):
-            return 0
-        return sum(n.dims[quiver.index[v]] for v in covers[k].summands)
-
-    def coord_offsets(k):
-        offs, off = [], 0
-        for v in covers[k].summands:
-            offs.append(off)
-            off += n.dims[quiver.index[v]]
-        return offs
-
-    def differential(k):
-        """d_k: C_k -> C_{k-1} for k >= 1, or None past the resolution's end."""
-        if k >= len(covers) or k < 1:
-            return None
-        incl = trace.records[k - 1].inclusion      # syzygy_k -> C_{k-1}
-        surj = trace.records[k].cover.surjection   # C_k -> syzygy_k
-        return ModMorphism(covers[k].module, covers[k - 1].module,
-                           [a * b for a, b in zip(incl.mats, surj.mats)],
-                           validate=False)
-
-    def lam_matrix(k):
-        """Hom(C_{k-1}, n) -> Hom(C_k, n), phi -> phi o d_k."""
-        rows = hom_dim_of(k)
-        cols = hom_dim_of(k - 1)
-        mat = QMatrix.zeros(rows, cols)
-        d = differential(k)
-        if d is None or rows == 0 or cols == 0:
-            return mat
-        src_offs = coord_offsets(k)
-        tgt_offs = coord_offsets(k - 1)
-        gens = covers[k].generator_coords
-        for s, (v_s, entries_s) in enumerate(layouts[k - 1]):
-            for u in range(n.dims[quiver.index[v_s]]):
-                col = tgt_offs[s] + u
-                for r in range(len(covers[k].summands)):
-                    gv, gc = gens[r]
-                    vec = d.mats[gv].column(gc)  # d_k(generator r) at vertex gv
-                    out = [Frac(0)] * n.dims[gv]
-                    for idx, tv, amb in entries_s:
-                        if tv != gv:
-                            continue
-                        c = vec[amb]
-                        if not c:
-                            continue
-                        colvec = n.path_action(v_s, eng.basis[idx].names).column(u)
-                        for i, x in enumerate(colvec):
-                            if x:
-                                out[i] += c * x
-                    base = src_offs[r]
-                    for i, x in enumerate(out):
-                        if x:
-                            mat.data[base + i][col] = x
-        return mat
-
-    dims = []
-    prev_rank = 0
-    for k in range(max_degree + 1):
-        lam_next = lam_matrix(k + 1)
-        next_rank = lam_next.rank()
-        hom_k = hom_dim_of(k)
-        kernel = hom_k - next_rank
-        dims.append(kernel - prev_rank)
-        prev_rank = next_rank
-    return dims
+    records = resolve(m, max_degree, classify=False).records
+    # Hom(Omega^i, n) and Hom(P_i, n), zero past the end of a finished resolution
+    pad = [0] * (max_degree + 1)
+    homs = [hom_dim(m, n)] + [hom_dim(r.syzygy, n) for r in records] + pad
+    covers = [sum(c * d for c, d in zip(r.cover_counts, n.dims)) for r in records] + pad
+    return [homs[0]] + [homs[i] - covers[i - 1] + homs[i - 1]
+                        for i in range(1, max_degree + 1)]
 
 
 def poincare_betti_truncated(m, n, max_degree):

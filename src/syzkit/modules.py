@@ -8,7 +8,9 @@ presentation, so every algorithm below works on the "engine" view: the
 module's matrices read against engine_presentation() = algebra (left) or
 algebra.opposite() (right).  Null spaces (Hom systems, quotients, kernels) are
 read off by ratmat.nullspace; the coordinates of a sum of projectives are laid
-out once, by projective_layout.
+out once, by projective_layout.  One linear system, _hom_equations, serves Hom
+and tensor products alike: the bilinearity relations of a (x) m are the Hom
+equations of (m, Da), since D(a (x)_Lambda m) = Hom_Lambda(m, Da).
 """
 
 from fractions import Fraction
@@ -463,21 +465,23 @@ def contains_full_semisimple(m):
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def hom_basis(m, n):
-    """Basis of Hom(m, n) as ModMorphisms (same algebra and side required)."""
+def _hom_equations(m, n):
+    """The linear system of Hom(m, n): (integer rows, offsets, unknowns).
+
+    Unknown offsets[v] + i * m.dims[v] + j is entry (i, j) of the vertex-v
+    matrix; one row per arrow a: s -> t and entry (i, k) of
+    f_t m_a - n_a f_s = 0.  The bilinearity relations of a tensor a (x) m are
+    the rows of (m, a.dual()), in the same coordinates (D(a (x) m) = Hom(m, Da)).
+    """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Hom over different algebras")
     if m.side != n.side:
         raise SideMismatch("Hom between modules of different sides")
-    nv = len(m.dims)
     offsets = []
     off = 0
-    for v in range(nv):
+    for v in range(len(m.dims)):
         offsets.append(off)
         off += n.dims[v] * m.dims[v]
-    total = off
-    if total == 0:
-        return []
     eng = m.engine_presentation()
     idx = eng.quiver.index
 
@@ -502,10 +506,18 @@ def hom_basis(m, n):
                         entries[key] = entries.get(key, Frac(0)) - na.data[i][j]
                 if entries:
                     rows.append(_int_row(entries))
+    return rows, offsets, off
+
+
+def hom_basis(m, n):
+    """Basis of Hom(m, n) as ModMorphisms (same algebra and side required)."""
+    rows, offsets, total = _hom_equations(m, n)
+    if total == 0:
+        return []
     basis = []
     for flat in nullspace(rows, total)[1]:
         mats = []
-        for v in range(nv):
+        for v in range(len(m.dims)):
             o, w = offsets[v], m.dims[v]   # row i of block v: unknowns (v, i, 0..w)
             mats.append(QMatrix._of(n.dims[v], w,
                                     [flat[o + i * w:o + (i + 1) * w]
@@ -514,12 +526,19 @@ def hom_basis(m, n):
     return basis
 
 
+def hom_dim(m, n):
+    """dim_K Hom(m, n): unknowns minus the rank of the Hom system."""
+    rows, _, total = _hom_equations(m, n)
+    return total - echelon_from_rows(rows).rank
+
+
 # -- tensor products ----------------------------------------------------------
 
 
 class TensorSpace:
     """a_right tensor_Lambda m_left as an explicit quotient of the vertexwise
-    tensor blocks by the bilinearity relations of the arrows."""
+    tensor blocks by the bilinearity relations of the arrows, which are the
+    Hom equations of (m_left, a_right.dual())."""
 
     def __init__(self, a_right, m_left):
         if a_right.algebra is not m_left.algebra:
@@ -528,35 +547,8 @@ class TensorSpace:
             raise SideMismatch("tensor_dim needs (right module, left module)")
         self.a = a_right
         self.m = m_left
-        alg = a_right.algebra
-        nv = len(alg.quiver.vertices)
-        self.offsets = []
-        off = 0
-        for v in range(nv):
-            self.offsets.append(off)
-            off += a_right.dims[v] * m_left.dims[v]
-        self.raw_dim = off
-        idx = alg.quiver.index
-        rows = []
-        for arr in alg.quiver.arrows:
-            s, t = idx[arr.source], idx[arr.target]
-            R = a_right.act[arr.name]  # A_t -> A_s
-            L = m_left.act[arr.name]   # M_s -> M_t
-            for x in range(a_right.dims[t]):
-                for k in range(m_left.dims[s]):
-                    entries = {}
-                    for i in range(a_right.dims[s]):
-                        if R.data[i][x]:
-                            key = self._coord(s, i, k)
-                            entries[key] = entries.get(key, Frac(0)) + R.data[i][x]
-                    for j in range(m_left.dims[t]):
-                        if L.data[j][k]:
-                            key = self._coord(t, x, j)
-                            entries[key] = entries.get(key, Frac(0)) - L.data[j][k]
-                    if entries:
-                        rows.append(_int_row(entries))
-        self.ech = echelon_from_rows(rows)
-        self.rref = self.ech.rref_rows()
+        rows, self.offsets, self.raw_dim = _hom_equations(m_left, a_right.dual())
+        self.rref = echelon_from_rows(rows).rref_rows()
         pivs = {c for c, _ in self.rref}
         self.free = [c for c in range(self.raw_dim) if c not in pivs]
         self.free_pos = {c: i for i, c in enumerate(self.free)}

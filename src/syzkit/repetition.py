@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import registry_for
-from .errors import CatalogOpen, InternalConsistencyError, SideMismatch
+from .errors import (BadBudget, CatalogOpen, InternalConsistencyError,
+                     SideMismatch)
 from .homology import (DEFAULT_BUDGET, explore_classes,
                        injective_indecomposables, pdim, recurrence_chain,
                        tor1_dim)
@@ -111,7 +112,7 @@ def build_catalog(t, budget=DEFAULT_BUDGET):
     classes first seen beyond the budget leave the catalog open (flagged).
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise BadBudget("budget must be >= 1")
     reg = registry_for(t.algebra, t.side)
     degree0 = reg.classify(t) if not t.is_zero() else {}
     order, first_seen, edges, closed = explore_classes(reg, degree0, budget)

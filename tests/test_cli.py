@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from syzkit.cli import run_command
 
 
@@ -141,3 +143,29 @@ def test_usage_error_exit_one(capsys):
     code, doc = run_command(["pdim"])  # missing required arguments
     assert code == 1 and doc is None
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["syzygy-type", "--algebra", "{d}/ex33.alg"],
+    ["rep-index", "--algebra", "{d}/ex33.alg"],
+    ["bmatrix", "--algebra", "{d}/ex33.alg"],
+    ["findim", "--algebra", "{d}/ex33.alg"],
+    ["order", "report", "{d}/ex46.ord"],
+    ["order", "gldim-cert", "{d}/ex47.ord"],
+], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")))
+def test_catalog_commands_reject_zero_budget(argv, data_dir, capsys):
+    code, doc = run_command([a.format(d=data_dir) for a in argv] + ["--budget", "0"])
+    assert (code, doc) == (1, None)
+    assert "error:" in capsys.readouterr().err
+
+
+def test_zero_budget_catalog_is_a_value_error(ex_three_loop):
+    from syzkit.errors import BadBudget
+    from syzkit.modules import simple_module
+    from syzkit.repetition import build_catalog
+
+    s = simple_module(ex_three_loop, "1", "right")
+    with pytest.raises(ValueError):
+        build_catalog(s, 0)
+    with pytest.raises(BadBudget):
+        build_catalog(s, -1)

@@ -198,3 +198,127 @@ def test_schanuel_variant_padding(ex_five):
     extra_id = reg.register(extra)
     right[extra_id] = right.get(extra_id, 0) + 1
     assert left == right
+
+
+def _cochain_resolution(m, length):
+    """Covers and syzygy inclusions of the minimal resolution of m, up to
+    `length` covers: covers[k] covers Omega^k, incls[k]: Omega^{k+1} -> C_k."""
+    covers, incls = [], []
+    current = m
+    for _ in range(length):
+        if current.is_zero():
+            break
+        current, incl, cov = syzygy_with_cover(current)
+        covers.append(cov)
+        incls.append(incl)
+    return covers, incls
+
+
+def _ext_dims_by_cochains(m, resolution, n, max_degree):
+    """Frozen reference for ext_dims: the cohomology of Hom(C_*, n) along the
+    minimal resolution C_* of m (from _cochain_resolution, at least
+    max_degree + 2 covers long), from explicit cochain matrices
+    Hom(C_{k-1}, n) -> Hom(C_k, n) built from the cover surjections and the
+    syzygy inclusions."""
+    from fractions import Fraction
+
+    from syzkit.modules import ModMorphism, projective_layout
+    from syzkit.ratmat import QMatrix
+
+    if m.is_zero():
+        return [0] * (max_degree + 1)
+    eng = m.engine_presentation()
+    quiver = eng.quiver
+    covers, incls = resolution
+    layouts = [list(zip(c.summands, projective_layout(eng, c.summands))) for c in covers]
+    # (vertex index, column) of each copy's top generator in covers[k]
+    gens = [[(tv, col) for _, entries in lay for i, tv, col in entries
+             if not eng.basis[i].names] for lay in layouts]
+
+    def hom_dim_of(k):
+        if k >= len(covers):
+            return 0
+        return sum(n.dims[quiver.index[v]] for v in covers[k].summands)
+
+    def coord_offsets(k):
+        offs, off = [], 0
+        for v in covers[k].summands:
+            offs.append(off)
+            off += n.dims[quiver.index[v]]
+        return offs
+
+    def differential(k):
+        if k >= len(covers) or k < 1:
+            return None
+        return ModMorphism(covers[k].module, covers[k - 1].module,
+                           [a * b for a, b in zip(incls[k - 1].mats,
+                                                  covers[k].surjection.mats)],
+                           validate=False)
+
+    def lam_matrix(k):
+        rows = hom_dim_of(k)
+        cols = hom_dim_of(k - 1)
+        mat = QMatrix.zeros(rows, cols)
+        d = differential(k)
+        if d is None or rows == 0 or cols == 0:
+            return mat
+        src_offs = coord_offsets(k)
+        tgt_offs = coord_offsets(k - 1)
+        for s, (v_s, entries_s) in enumerate(layouts[k - 1]):
+            for u in range(n.dims[quiver.index[v_s]]):
+                col = tgt_offs[s] + u
+                for r, (gv, gc) in enumerate(gens[k]):
+                    vec = d.mats[gv].column(gc)
+                    out = [Fraction(0)] * n.dims[gv]
+                    for idx, tv, amb in entries_s:
+                        if tv != gv or not vec[amb]:
+                            continue
+                        colvec = n.path_action(v_s, eng.basis[idx].names).column(u)
+                        for i, x in enumerate(colvec):
+                            if x:
+                                out[i] += vec[amb] * x
+                    for i, x in enumerate(out):
+                        if x:
+                            mat.data[src_offs[r] + i][col] = x
+        return mat
+
+    dims = []
+    prev_rank = 0
+    for k in range(max_degree + 1):
+        next_rank = lam_matrix(k + 1).rank()
+        dims.append(hom_dim_of(k) - next_rank - prev_rank)
+        prev_rank = next_rank
+    return dims
+
+
+def test_ext_by_dimension_shift_matches_cochains():
+    """ext_dims (dimension shift over Hom dimensions) against the frozen
+    cochain-complex reference, on simples, indecomposable projectives and
+    injectives and one random module per algebra and side, all pairs, degrees
+    0..3.  The seeds keep the reference's resolutions small (see CHANGES.md)."""
+    import random
+
+    import randgen
+    from syzkit.homology import injective_indecomposables
+
+    rng = random.Random(0xE2)
+    algebras = (randgen.algebra_pool(0xE2, 3) + randgen.binomial_pool(0xB3, 2)
+                + [cases.three_vertex_loop_algebra(), cases.local_two_loop_algebra(),
+                   cases.five_vertex_monomial_algebra(), cases.nakayama_local(3)])
+    pairs = higher = 0
+    for alg in algebras:
+        for side in ("left", "right"):
+            verts = alg.quiver.vertices
+            mods = ([simple_module(alg, v, side) for v in verts]
+                    + [projective_module(alg, v, side) for v in verts]
+                    + injective_indecomposables(alg, side)
+                    + [randgen.random_module(rng, alg, side)])
+            for m in mods:
+                resolution = _cochain_resolution(m, 5)
+                for n in mods:
+                    want = _ext_dims_by_cochains(m, resolution, n, 3)
+                    assert ext_dims(m, n, 3) == want
+                    pairs += 1
+                    higher += any(want[1:])
+    assert pairs >= 300
+    assert higher >= 100   # the shift terms matter on a good share of pairs

@@ -201,3 +201,67 @@ def test_projective_layout_matches_direct_sum_inclusions():
                     local = proj.path_action(v, eng.basis[i].names).apply(top)
                     ambient = incl.mats[tv].apply(local)
                     assert ambient == [int(r == col) for r in range(len(ambient))]
+
+
+def _tensor_rref_by_bilinearity(a_right, m_left):
+    """Frozen reference for TensorSpace.rref: the relations a.x (x) m - a (x) x.m
+    written out arrow by arrow on the vertexwise blocks, coordinate
+    offsets[v] + a_index * m.dims[v] + m_index."""
+    from fractions import Fraction
+
+    from syzkit.ratmat import _int_row, echelon_from_rows
+
+    alg = a_right.algebra
+    offsets, off = [], 0
+    for v in range(len(alg.quiver.vertices)):
+        offsets.append(off)
+        off += a_right.dims[v] * m_left.dims[v]
+    idx = alg.quiver.index
+    rows = []
+    for arr in alg.quiver.arrows:
+        s, t = idx[arr.source], idx[arr.target]
+        R = a_right.act[arr.name]  # A_t -> A_s
+        L = m_left.act[arr.name]   # M_s -> M_t
+        for x in range(a_right.dims[t]):
+            for k in range(m_left.dims[s]):
+                entries = {}
+                for i in range(a_right.dims[s]):
+                    if R.data[i][x]:
+                        key = offsets[s] + i * m_left.dims[s] + k
+                        entries[key] = entries.get(key, Fraction(0)) + R.data[i][x]
+                for j in range(m_left.dims[t]):
+                    if L.data[j][k]:
+                        key = offsets[t] + x * m_left.dims[t] + j
+                        entries[key] = entries.get(key, Fraction(0)) - L.data[j][k]
+                if entries:
+                    rows.append(_int_row(entries))
+    return echelon_from_rows(rows).rref_rows()
+
+
+def test_tensor_relations_are_the_hom_equations_of_the_dual():
+    """TensorSpace reads its relations off the Hom system of (m, Da); its
+    reduced echelon form must equal that of the bilinearity relations written
+    out directly, and dim a (x) m = dim Hom(m, Da)."""
+    from syzkit.homology import injective_indecomposables
+    from syzkit.modules import TensorSpace, hom_dim
+
+    rng = random.Random(0x7E)
+    algebras = (randgen.algebra_pool(0x7E, 6) + randgen.binomial_pool(0x7F, 4)
+                + [cases.three_vertex_loop_algebra(), cases.local_two_loop_algebra(),
+                   cases.five_vertex_monomial_algebra()])
+    pairs = 0
+    for alg in algebras:
+        mods = {}
+        for side in ("left", "right"):
+            verts = alg.quiver.vertices
+            mods[side] = ([simple_module(alg, v, side) for v in verts]
+                          + [projective_module(alg, v, side) for v in verts]
+                          + injective_indecomposables(alg, side)
+                          + [randgen.random_module(rng, alg, side)])
+        for a in mods["right"]:
+            for m in mods["left"]:
+                space = TensorSpace(a, m)
+                assert space.rref == _tensor_rref_by_bilinearity(a, m)
+                assert space.dim == tensor_dim(a, m) == hom_dim(m, a.dual())
+                pairs += 1
+    assert pairs >= 500

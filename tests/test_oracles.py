@@ -30,6 +30,21 @@ def test_ext1_between_simples_counts_arrows():
                 assert got == arrows.get((i, j), 0)
                 checked += 1
     assert checked >= 100
+    # minimal resolutions: dim Ext^i(M, S_v) is the multiplicity of P_v in
+    # the i-th cover (records[i] covers the i-th syzygy), Ext^0 the top of M
+    rng = random.Random(0xE1)
+    resolved = 0
+    for alg in pool:
+        for side in ("left", "right"):
+            m = randgen.random_module(rng, alg, side)
+            records = resolve(m, 4, classify=False).records
+            for v, label in enumerate(alg.quiver.vertices):
+                ext = ext_dims(m, simple_module(alg, label, side), 3)
+                assert ext[0] == top_counts(m)[v]
+                for i in range(1, 4):
+                    assert ext[i] == (records[i].cover_counts[v] if i < len(records) else 0)
+            resolved += 1
+    assert resolved == 2 * len(pool)
 
 
 def test_finite_pdim_matches_resolution_length():
