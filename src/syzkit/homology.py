@@ -18,7 +18,6 @@ system of modules.
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
@@ -26,8 +25,6 @@ from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
                       kernel_module, projective_layout, projective_module,
                       radical_rows, zero_module)
 from .ratmat import QMatrix, nullspace
-
-Frac = Fraction
 
 DEFAULT_BUDGET = 24
 
@@ -49,13 +46,10 @@ def projective_cover(m):
     quiver = eng.quiver
     nv = len(quiver.vertices)
     rad = radical_rows(m)
-    lifts = []  # (vertex_index, top representative vector in M_v)
-    for v in range(nv):
-        # unit vectors at the free columns of the radical's row space
-        for c in nullspace(rad[v]._int_rows(), m.dims[v])[0]:
-            vec = [Frac(0)] * m.dims[v]
-            vec[c] = Frac(1)
-            lifts.append((v, vec))
+    # top representatives: the unit vectors of M_v at the free columns of
+    # the radical's row space, kept as (vertex_index, column)
+    lifts = [(v, c) for v in range(nv)
+             for c in nullspace(rad[v]._int_rows(), m.dims[v])[0]]
     if not lifts:
         cov = zero_module(m.algebra, m.side)
         surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],
@@ -69,13 +63,14 @@ def projective_cover(m):
     # assemble the surjection: basis element (copy r, path p) maps to p . x_r
     mats = [QMatrix.zeros(m.dims[v], cover.dims[v]) for v in range(nv)]
     gen_coords = []
-    for (v, xvec), entries in zip(lifts, projective_layout(eng, summands)):
+    for (v, c), entries in zip(lifts, projective_layout(eng, summands)):
         for i, tv, col in entries:
             b = eng.basis[i]
-            img = m.path_action(quiver.vertices[v], b.names).apply(xvec)
-            for i_row in range(m.dims[tv]):
-                if img[i_row]:
-                    mats[tv].data[i_row][col] = img[i_row]
+            # p . x_r is column c of p's action matrix
+            path_rows = m.path_action(quiver.vertices[v], b.names).data
+            for i_row, row in enumerate(path_rows):
+                if row[c]:
+                    mats[tv].data[i_row][col] = row[c]
             if not b.names:
                 gen_coords.append((tv, col))
     surj = ModMorphism(cover, m, mats, validate=False)

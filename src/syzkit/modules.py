@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import (QMatrix, _int_row, echelon_from_rows, nullspace, solve_columns,
-                     stack_rows)
+from .ratmat import (_ZERO, QMatrix, _int_row, echelon_from_rows, nullspace,
+                     solve_columns, stack_rows)
 
 Frac = Fraction
 
@@ -252,6 +252,8 @@ def projective_module(algebra, vertex, side):
 
 
 def simple_module(algebra, vertex, side):
+    if vertex not in algebra.quiver.index:
+        raise IllFormedRelation(f"unknown vertex {vertex!r}")
     n = len(algebra.quiver.vertices)
     dims = [0] * n
     dims[algebra.quiver.index[vertex]] = 1
@@ -485,25 +487,23 @@ def _hom_equations(m, n):
     eng = m.engine_presentation()
     idx = eng.quiver.index
 
-    def unknown(v, i, j):
-        return offsets[v] + i * m.dims[v] + j
-
     rows = []
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
-        ma = m.act[a.name]
-        na = n.act[a.name]
-        for i in range(n.dims[t]):
-            for k in range(m.dims[s]):
-                entries = {}
-                for j in range(m.dims[t]):
-                    if ma.data[j][k]:
-                        key = unknown(t, i, j)
-                        entries[key] = entries.get(key, Frac(0)) + ma.data[j][k]
-                for j in range(n.dims[s]):
-                    if na.data[i][j]:
-                        key = unknown(s, j, k)
-                        entries[key] = entries.get(key, Frac(0)) - na.data[i][j]
+        ma = m.act[a.name].data
+        # nonzeros of m_a by column and of n_a by row, listed once per arrow
+        ma_cols = [[(j, row[k]) for j, row in enumerate(ma) if row[k]]
+                   for k in range(m.dims[s])]
+        na_rows = [[(j, x) for j, x in enumerate(row) if x]
+                   for row in n.act[a.name].data]
+        wt, ws = m.dims[t], m.dims[s]
+        for i, na_row in enumerate(na_rows):
+            base = offsets[t] + i * wt        # unknowns (t, i, j)
+            for k, ma_col in enumerate(ma_cols):
+                entries = {base + j: x for j, x in ma_col}
+                for j, x in na_row:
+                    key = offsets[s] + j * ws + k  # unknown (s, j, k)
+                    entries[key] = entries.get(key, _ZERO) - x
                 if entries:
                     rows.append(_int_row(entries))
     return rows, offsets, off

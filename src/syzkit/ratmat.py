@@ -3,10 +3,14 @@
 All arithmetic is over Fraction; nothing here ever touches floating point.
 Elimination runs on sparse rows scaled to coprime integers, which keeps the
 bignum work small even for the commutant systems that show up when
-endomorphism rings of 20+-dimensional modules are computed.
+endomorphism rings of 20+-dimensional modules are computed.  Reduction
+follows the nonzeros: a row visits only the pivot columns it meets, and
+back-substitution only the later pivots among a row's own keys.
 """
 
+from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import DimensionMismatch as DimError
@@ -25,7 +29,7 @@ def _int_row(entries):
     for v in row.values():
         d = v.denominator
         denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = {c: int(v * denom_lcm) for c, v in row.items()}
+    ints = {c: v.numerator * (denom_lcm // v.denominator) for c, v in row.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -59,14 +63,30 @@ class Echelon:
     """Online row-echelon form over Q, rows kept as sparse coprime-integer dicts."""
 
     def __init__(self):
-        self.pivots = []  # (col, row) sorted by col; row[col] != 0
+        self.cols = []     # pivot columns, ascending
+        self.by_col = {}   # pivot column -> row; row[col] != 0, every key >= col
 
     def reduce(self, row):
-        """Fully reduce an integer row against the current pivots."""
-        for col, prow in self.pivots:
+        """Fully reduce an integer row against the current pivots.
+
+        Visits only the pivot columns the row meets, in ascending order: a
+        heap holds the row's pivot columns, and each pivot row used pushes its
+        own pivot columns above its pivot.  A pivot row has no key below its
+        pivot, so this is the same sequence of combinations as probing every
+        pivot in turn."""
+        by_col = self.by_col
+        heap = [c for c in row if c in by_col]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
             a = row.get(col)
-            if a:
-                row = _combine(row, prow[col], prow, -a)
+            if not a:
+                continue
+            prow = by_col[col]
+            row = _combine(row, prow[col], prow, -a)
+            for c in prow:
+                if c > col and c in by_col:
+                    heappush(heap, c)
         return row
 
     def insert(self, row):
@@ -75,31 +95,33 @@ class Echelon:
         if not row:
             return False
         col = min(row)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos][0] < col:
-            pos += 1
-        self.pivots.insert(pos, (col, row))
+        insort(self.cols, col)
+        self.by_col[col] = row
         return True
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.cols)
 
     def rref_rows(self):
-        """Back-eliminated rows as {col: Fraction} with pivot entry 1."""
-        rows = [dict(r) for _, r in self.pivots]
-        cols = [c for c, _ in self.pivots]
-        for i in range(len(rows) - 1, -1, -1):
-            ci = cols[i]
-            ri = rows[i]
-            for j in range(i):
-                a = rows[j].get(ci)
-                if a:
-                    rows[j] = _combine(rows[j], ri[ci], ri, -a)
+        """Back-eliminated rows as {col: Fraction} with pivot entry 1.
+
+        Pivots are reduced last first, each only against the later pivots
+        among its own keys, which are reduced already; the RREF of a row
+        space is unique."""
+        by_col = self.by_col
+        done = {}
+        for c in reversed(self.cols):
+            r = by_col[c]
+            for k in [k for k in r if k != c and k in by_col]:
+                rk = done[k]
+                r = _combine(r, rk[k], rk, -r[k])
+            done[c] = r
         out = []
-        for c, r in zip(cols, rows):
-            piv = Fraction(r[c])
-            out.append((c, {k: Fraction(v) / piv for k, v in r.items()}))
+        for c in self.cols:
+            r = done[c]
+            piv = r[c]
+            out.append((c, {k: Fraction(v, piv) for k, v in r.items()}))
         return out
 
 
@@ -114,21 +136,21 @@ def echelon_from_rows(int_rows):
 def nullspace(int_rows, ncols):
     """Basis of {x : row . x = 0 for every row}, read off the reduced echelon
     form: one vector per free column f, with 1 at f and minus the pivot rows'
-    f-entries at the pivot columns.  Returns (free_cols, vectors), the vectors
-    as plain lists of Fractions."""
+    f-entries at the pivot columns, filled in one pass over the rref rows'
+    entries.  Returns (free_cols, vectors), the vectors as plain lists of
+    Fractions."""
     rref = echelon_from_rows(int_rows).rref_rows()
     pivs = {c for c, _ in rref}
     free = [c for c in range(ncols) if c not in pivs]
-    vectors = []
+    vectors = {}
     for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for c, r in rref:
-            val = r.get(f)
-            if val:
-                vec[c] = -val
-        vectors.append(vec)
-    return free, vectors
+        vectors[f] = [_ZERO] * ncols
+        vectors[f][f] = _ONE
+    for c, r in rref:
+        for f, val in r.items():
+            if f != c:
+                vectors[f][c] = -val
+    return free, list(vectors.values())
 
 
 class QMatrix:

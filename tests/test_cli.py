@@ -159,6 +159,20 @@ def test_catalog_commands_reject_zero_budget(argv, data_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pdim", "--algebra", "{d}/ex23d.alg", "--module", "simple:zz"],
+    ["decompose", "--algebra", "{d}/ex33.alg", "--module", "simple:zz"],
+    ["findim", "--algebra", "{d}/ex33.alg", "--probe", "simple:zz", "--budget", "4"],
+    ["syzygy-type", "--algebra", "{d}/ex33.alg", "--t", "simple:zz", "--budget", "4"],
+    ["order", "gldim-cert", "{d}/ex47.ord", "--probe", "simple:zz", "--budget", "4"],
+], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")))
+def test_unknown_simple_vertex_is_an_error(argv, data_dir, capsys):
+    code, doc = run_command([a.format(d=data_dir) for a in argv])
+    assert (code, doc) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'zz'" in err
+
+
 def test_zero_budget_catalog_is_a_value_error(ex_three_loop):
     from syzkit.errors import BadBudget
     from syzkit.modules import simple_module

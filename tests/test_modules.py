@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,12 @@ def test_simples(ex_five):
         s = simple_module(ex_five, v, "left")
         assert s.total_dim == 1
         assert all(m.is_zero() for m in s.act.values())
+
+
+def test_simple_module_rejects_unknown_vertex(ex_five):
+    for side in ("left", "right"):
+        with pytest.raises(IllFormedRelation, match="unknown vertex 'zz'"):
+            simple_module(ex_five, "zz", side)
 
 
 def test_projective_hereditary_a2():
@@ -265,3 +272,132 @@ def test_tensor_relations_are_the_hom_equations_of_the_dual():
                 assert space.dim == tensor_dim(a, m) == hom_dim(m, a.dual())
                 pairs += 1
     assert pairs >= 500
+
+
+def _dense_hom_equations(m, n):
+    """Frozen reference for _hom_equations: every (i, k) pair rescans the
+    dense action matrices."""
+    from syzkit.ratmat import _int_row
+
+    offsets, off = [], 0
+    for v in range(len(m.dims)):
+        offsets.append(off)
+        off += n.dims[v] * m.dims[v]
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+
+    def unknown(v, i, j):
+        return offsets[v] + i * m.dims[v] + j
+
+    rows = []
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        ma = m.act[a.name]
+        na = n.act[a.name]
+        for i in range(n.dims[t]):
+            for k in range(m.dims[s]):
+                entries = {}
+                for j in range(m.dims[t]):
+                    if ma.data[j][k]:
+                        key = unknown(t, i, j)
+                        entries[key] = entries.get(key, Fraction(0)) + ma.data[j][k]
+                for j in range(n.dims[s]):
+                    if na.data[i][j]:
+                        key = unknown(s, j, k)
+                        entries[key] = entries.get(key, Fraction(0)) - na.data[i][j]
+                if entries:
+                    rows.append(_int_row(entries))
+    return rows, offsets, off
+
+
+def _nullspace_by_probing(int_rows, ncols):
+    """Frozen reference for ratmat.nullspace: one r.get(f) per (free column,
+    pivot row) pair."""
+    from syzkit.ratmat import _ONE, _ZERO, echelon_from_rows
+
+    rref = echelon_from_rows(int_rows).rref_rows()
+    pivs = {c for c, _ in rref}
+    free = [c for c in range(ncols) if c not in pivs]
+    vectors = []
+    for f in free:
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
+        for c, r in rref:
+            val = r.get(f)
+            if val:
+                vec[c] = -val
+        vectors.append(vec)
+    return free, vectors
+
+
+def _conjugated(rng, m):
+    """m in a random basis of each vertex space: dense action matrices, and
+    loops with nonzero diagonal entries, where the two halves of a Hom
+    equation meet on one unknown."""
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    change = []
+    for d in m.dims:
+        lower, upper = QMatrix.identity(d), QMatrix.identity(d)
+        for i in range(d):
+            for j in range(i):
+                lower.data[i][j] = Fraction(rng.randint(-2, 2))
+                upper.data[j][i] = Fraction(rng.randint(-2, 2))
+        change.append(lower * upper)
+    act = {a.name: change[idx[a.target]] * m.act[a.name] * change[idx[a.source]].inverse()
+           for a in eng.quiver.arrows}
+    return RepModule(m.algebra, m.side, m.dims, act)
+
+
+def _has_diagonal(m, arrow):
+    mat = m.act[arrow]
+    return any(mat.data[k][k] for k in range(mat.nrows))
+
+
+def test_hom_system_and_nullspace_match_dense_reference():
+    """_hom_equations lists each arrow matrix's nonzeros once; its rows, in
+    order, and the null-space read-off must equal the dense loops', on both
+    sides of monomial, binomial and tiled-order algebras, M = N included."""
+    from syzkit.homology import injective_indecomposables
+    from syzkit.modules import _hom_equations
+    from syzkit.orders import presentation_from_valued_quiver
+    from syzkit.ratmat import _ZERO, nullspace
+
+    rng = random.Random(0x40E)
+    algebras = (randgen.algebra_pool(0x40E, 8) + randgen.binomial_pool(0x40F, 6)
+                + [presentation_from_valued_quiver(cases.six_vertex_order_quiver()),
+                   presentation_from_valued_quiver(cases.gorenstein_order_quiver())])
+    pairs = loop_squares = collisions = 0
+    for alg in algebras:
+        for side in ("left", "right"):
+            eng = alg if side == "left" else alg.opposite()
+            loops = [a.name for a in eng.quiver.arrows if a.source == a.target]
+            verts = alg.quiver.vertices
+            mods = ([simple_module(alg, verts[0], side)]
+                    + [projective_module(alg, v, side) for v in verts[:3]]
+                    + injective_indecomposables(alg, side)[:2]
+                    + [randgen.random_module(rng, alg, side)])
+            small = [x for x in mods if 1 < x.total_dim <= 8]
+            if small:
+                mods.append(_conjugated(rng, small[-1]))
+            for m in mods:
+                for n in mods:
+                    got = _hom_equations(m, n)
+                    want = _dense_hom_equations(m, n)
+                    assert got == want
+                    rows, _, total = got
+                    free, vectors = nullspace(rows, total)
+                    ref_free, ref_vectors = _nullspace_by_probing(rows, total)
+                    assert (free, vectors) == (ref_free, ref_vectors)
+                    # zeros stay the shared _ZERO, which End rings skip by identity
+                    assert ([[x is _ZERO for x in v] for v in vectors]
+                            == [[x is _ZERO for x in v] for v in ref_vectors])
+                    pairs += 1
+                    loop_squares += bool(loops) and m is n and total > 0
+                    # a loop with diagonal entries in both m_a and n_a puts
+                    # both halves of one equation on a shared unknown
+                    collisions += any(_has_diagonal(m, a) and _has_diagonal(n, a)
+                                      for a in loops)
+    assert pairs >= 500
+    assert loop_squares >= 10
+    assert collisions >= 5

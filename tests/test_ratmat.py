@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from syzkit.errors import DimensionMismatch
-from syzkit.ratmat import (QMatrix, _int_row, nullspace, rowspace_contains, solve_columns,
-                           solve_right)
+from syzkit.ratmat import (Echelon, QMatrix, _combine, _int_row, nullspace,
+                           rowspace_contains, solve_columns, solve_right)
 
 
 def test_rank_identity_and_zero():
@@ -147,3 +147,107 @@ def test_public_constructor_still_coerces_and_checks():
         QMatrix(2, 2, [[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         QMatrix(3, 2, [[1, 2], [3, 4]])
+
+
+class _DenseEchelon:
+    """Frozen reference: the echelon form that probes every pivot for every
+    row and finds the insert position by a linear scan."""
+
+    def __init__(self):
+        self.pivots = []  # (col, row) sorted by col; row[col] != 0
+
+    def reduce(self, row):
+        for col, prow in self.pivots:
+            a = row.get(col)
+            if a:
+                row = _combine(row, prow[col], prow, -a)
+        return row
+
+    def insert(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        col = min(row)
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos][0] < col:
+            pos += 1
+        self.pivots.insert(pos, (col, row))
+        return True
+
+    def rref_rows(self):
+        rows = [dict(r) for _, r in self.pivots]
+        cols = [c for c, _ in self.pivots]
+        for i in range(len(rows) - 1, -1, -1):
+            ci = cols[i]
+            ri = rows[i]
+            for j in range(i):
+                a = rows[j].get(ci)
+                if a:
+                    rows[j] = _combine(rows[j], ri[ci], ri, -a)
+        out = []
+        for c, r in zip(cols, rows):
+            piv = Fraction(r[c])
+            out.append((c, {k: Fraction(v) / piv for k, v in r.items()}))
+        return out
+
+
+def _random_sparse_row(rng, ncols, big):
+    width = rng.randint(1, min(ncols, 6))
+    bound = 10 ** 15 if big else 4
+    row = {}
+    for c in rng.sample(range(ncols), width):
+        row[c] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return row
+
+
+def _random_sparse_system(rng, kind):
+    """Integer rows of one of three kinds: 'deficient' (later rows are
+    combinations of a few base rows), 'big' (coefficients up to 10^15) and
+    'duplicates' (copies and multiples of earlier rows mixed in)."""
+    ncols = rng.randint(1, 30)
+    nrows = rng.randint(1, 40)
+    big = kind == "big"
+    if kind == "deficient":
+        base = [_random_sparse_row(rng, ncols, big)
+                for _ in range(rng.randint(1, max(1, nrows // 3)))]
+        rows = list(base)
+        while len(rows) < nrows:
+            combo = {}
+            for r in rng.sample(base, min(len(base), rng.randint(1, 3))):
+                c = rng.choice((-3, -2, -1, 1, 2, 5))
+                for k, v in r.items():
+                    combo[k] = combo.get(k, 0) + c * v
+            rows.append(combo)
+        rng.shuffle(rows)
+    else:
+        rows = []
+        for _ in range(nrows):
+            if rows and kind == "duplicates" and rng.random() < 0.4:
+                r = rng.choice(rows)
+                c = rng.choice((1, 1, -1, 3, -7))
+                rows.append({k: c * v for k, v in r.items()})
+            else:
+                rows.append(_random_sparse_row(rng, ncols, big))
+    return ncols, [_int_row(r) for r in rows]
+
+
+@pytest.mark.parametrize("kind", ["deficient", "big", "duplicates"])
+def test_echelon_matches_dense_probe_reference(kind):
+    """The heap-driven Echelon makes the same combinations as probing every
+    pivot: identical insert answers, pivots, reduced probe rows and RREF."""
+    rng = random.Random({"deficient": 0xEC1, "big": 0xEC2, "duplicates": 0xEC3}[kind])
+    deficient = 0
+    for _ in range(300):
+        ncols, rows = _random_sparse_system(rng, kind)
+        new, old = Echelon(), _DenseEchelon()
+        for r in rows:
+            assert new.insert(dict(r)) == old.insert(dict(r))
+        assert new.rank == len(old.pivots)
+        assert new.cols == [c for c, _ in old.pivots]
+        assert [(c, new.by_col[c]) for c in new.cols] == old.pivots
+        for _ in range(5):
+            probe = _int_row(_random_sparse_row(rng, ncols, kind == "big"))
+            assert new.reduce(dict(probe)) == old.reduce(dict(probe))
+        assert new.rref_rows() == old.rref_rows()
+        deficient += new.rank < len(rows)
+    assert deficient >= 100
