@@ -154,6 +154,9 @@ class BasisPath:
 
 _ONE = Fraction(1)
 
+# default bound on the paths a builder enumerates
+MAX_PATHS = 400_000
+
 
 class _PathUF:
     """Union-find over path keys carrying key = weight * root, plus zero flags.
@@ -352,12 +355,10 @@ class AlgebraPresentation:
     products of basis paths looked up through that class map.
     """
 
-    def __init__(self, quiver, relations, nilpotency, working_len, length_cap,
-                 basis, class_map):
+    def __init__(self, quiver, relations, nilpotency, length_cap, basis, class_map):
         self.quiver = quiver
         self.relations = tuple(relations)
         self.nilpotency = nilpotency
-        self.working_len = working_len
         self.length_cap = length_cap
         self.basis = tuple(basis)
         self._class = class_map
@@ -454,8 +455,7 @@ class AlgebraPresentation:
                 for key, a in cls:
                     sig[key] = (a if b == 1 else a / b, rep)
             op = _finalize(self.quiver.opposite(), [r.reversed() for r in self.relations],
-                           self.nilpotency, self.working_len, self.length_cap,
-                           sig, target.__getitem__)
+                           self.nilpotency, self.length_cap, sig, target.__getitem__)
             if op.dim != self.dim:
                 raise IllFormedRelation(
                     f"opposite algebra dimension {op.dim} != {self.dim}; relations ill-formed")
@@ -468,7 +468,7 @@ class AlgebraPresentation:
                 f"{len(self.quiver.arrows)} arrows, dim {self.dim}, J^{self.nilpotency}=0)")
 
 
-def build_algebra(quiver, relations, length_cap=12, max_paths=400_000):
+def build_algebra(quiver, relations, length_cap=12, max_paths=MAX_PATHS):
     """Build Lambda = KGamma/I over Q from a quiver and monomial/binomial relations.
 
     Finds the least N <= length_cap with J^N = 0, computes the two-sided ideal
@@ -498,12 +498,12 @@ def build_algebra(quiver, relations, length_cap=12, max_paths=400_000):
         needed = max(N + lrel, 2 * (N - 1), N + 1)
         sig = closure.signature(N)
         if W >= needed and prev is not None and prev == (N, sig):
-            return _finalize(quiver, relations, N, W, length_cap, sig, closure.tgt.__getitem__)
+            return _finalize(quiver, relations, N, length_cap, sig, closure.tgt.__getitem__)
         prev = (N, sig)
         W = max(W + 1, needed)
 
 
-def _finalize(quiver, relations, N, W, length_cap, sig, target_of):
+def _finalize(quiver, relations, N, length_cap, sig, target_of):
     """Basis and class map from a converged signature (key -> None or
     (coeff, representative key)); target_of(key) is the path's target vertex.
     Paths of length >= N never reach the class map (class_of returns None)."""
@@ -524,4 +524,4 @@ def _finalize(quiver, relations, N, W, length_cap, sig, target_of):
                 "the ideal is not admissible")
     class_map = {k: None if val is None else (val[0], rep_to_idx[val[1]])
                  for k, val in sig.items()}
-    return AlgebraPresentation(quiver, relations, N, W, length_cap, basis, class_map)
+    return AlgebraPresentation(quiver, relations, N, length_cap, basis, class_map)

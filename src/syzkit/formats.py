@@ -133,6 +133,13 @@ class _Parser:
             self.fail(f"bad rational {tok.text!r}", tok)
         return sign * value
 
+    def integer(self, what):
+        tok = self.expect_word(what)
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"bad {what} {tok.text!r}: expected an integer", tok)
+
     def path(self):
         names = [self.expect_word("arrow name").text]
         while self.at_sym("*"):
@@ -299,8 +306,7 @@ def parse_module(text, algebra):
                 p.fail("space entries only in explicit modules", key)
             vtx = p.expect_word("vertex").text
             p.expect_sym(":")
-            dim_tok = p.expect_word("dimension")
-            payload.setdefault("dims", {})[vtx] = int(dim_tok.text)
+            payload.setdefault("dims", {})[vtx] = p.integer("dimension")
             p.expect_sym(";")
         elif key.text == "arrow":
             kind = kind or "explicit"
@@ -392,8 +398,7 @@ def _parse_cokernel_block(p):
                 else:
                     names = p.path()
                 p.expect_sym("@")
-                copy_tok = p.expect_word("copy index")
-                terms.append((coeff, names, int(copy_tok.text)))
+                terms.append((coeff, names, p.integer("copy index")))
                 if p.at_sym("+"):
                     p.next()
                     sign = Frac(1)
@@ -515,7 +520,7 @@ def parse_order(text):
                 p.expect_sym(":")
                 row = []
                 while not p.at_sym(";"):
-                    row.append(int(p.expect_word("exponent").text))
+                    row.append(p.integer("exponent"))
                 p.expect_sym(";")
                 rows.append(row)
             p.expect_sym("}")
@@ -554,7 +559,7 @@ def _parse_valued_quiver_block(p):
                 p.expect_sym("->")
                 tgt = p.expect_word("target").text
                 p.expect_sym("@")
-                val = int(p.expect_word("value").text)
+                val = p.integer("value")
                 arrows.append((name, src, tgt))
                 values[name] = val
                 if p.at_sym(","):

@@ -8,13 +8,18 @@ Column i is the i-th projective lattice; replacing the diagonal exponent by 1
 gives the radical, and comparing radical columns against products detects the
 arrows of the residue algebra along with the least power of the uniformizer
 carrying one projective into another radical (the arrow value).
+
+The residue algebra needs no ideal closure: a path survives exactly when it
+realizes the minimal path value between its endpoints, and all surviving
+paths between two vertices are equal, so the minimal path values alone give
+its basis and class map (see presentation_from_valued_quiver).
 """
 
 from dataclasses import dataclass
 
-from .algebra import Quiver, Relation, build_algebra
+from .algebra import _ONE, MAX_PATHS, Quiver, Relation, _finalize
 from .errors import (BadExponentMatrix, IllFormedRelation, LoopsPresent,
-                     NonpositiveCycle)
+                     NonpositiveCycle, NotNilpotent, PathBudgetExceeded)
 from .homology import DEFAULT_BUDGET, idim_both_sides, resolve
 from .decompose import registry_for
 from .repetition import findim_bounds
@@ -161,48 +166,88 @@ def valued_quiver_from_exponents(e):
     return ValuedQuiver(Quiver(verts, arrows), values)
 
 
-def _alive_paths(vq, mvals):
-    """All paths realizing the minimal value of their endpoint pair, grouped by
-    (source, target); prefix-closed, so a plain breadth-first walk finds them."""
-    idx = vq.quiver.index
+def _walk_paths(vq, mvals, max_paths):
+    """Every path of length < N = (longest alive path) + 1, layer by layer.
+
+    A path is alive when it realizes the minimal value of its endpoint pair.
+    Alive paths are prefix-closed (a cheaper route to a prefix would give a
+    cheaper route to the whole path), and with every cycle of value >= 1 they
+    are simple, so the walk ends.  Returns (alive, dead, short_dead, tgt, N):
+    alive paths grouped by (source, target); the minimal dead paths, i.e. the
+    one-arrow extensions of alive paths that are not alive (lengths up to N);
+    every dead path of length < N; and the target vertex of each path walked.
+    Raises PathBudgetExceeded when more than max_paths paths are walked.
+    """
+    quiver = vq.quiver
+    idx = quiver.index
+    tgt = {(v, ()): v for v in quiver.vertices}
     alive = {}
-    frontier = [(v, ()) for v in vq.quiver.vertices]
-    valued = {(v, ()): 0 for v in vq.quiver.vertices}
     dead = []
-    while frontier:
+    short_dead = []
+    layer = [((v, ()), 0) for v in quiver.vertices]   # alive paths, with values
+    dead_layer = []
+    length = 0
+    total = len(layer)
+    while layer:
+        short_dead.extend(dead_layer)
         nxt = []
-        for key in frontier:
+        nxt_dead = []
+        for key, val in layer:
             src, names = key
-            at = vq.quiver.path_target(src, names)
-            alive.setdefault((src, at), []).append(key)
-            for a in vq.quiver.arrows_from[at]:
-                val = valued[key] + vq.values[a.name]
-                tgt_min = mvals[idx[src]][idx[a.target]]
+            alive.setdefault((src, tgt[key]), []).append(key)
+            for a in quiver.arrows_from[tgt[key]]:
                 nk = (src, names + (a.name,))
-                if tgt_min is not None and val == tgt_min:
-                    valued[nk] = val
-                    nxt.append(nk)
+                tgt[nk] = a.target
+                nval = val + vq.values[a.name]
+                if nval == mvals[idx[src]][idx[a.target]]:
+                    nxt.append((nk, nval))
                 else:
                     dead.append(nk)
-        frontier = nxt
-    return alive, dead
+                    nxt_dead.append(nk)
+        if nxt:
+            # N > length + 1, so the longer dead paths need classes too
+            for src, names in dead_layer:
+                for a in quiver.arrows_from[tgt[(src, names)]]:
+                    nk = (src, names + (a.name,))
+                    tgt[nk] = a.target
+                    nxt_dead.append(nk)
+        length += 1
+        total += len(nxt) + len(nxt_dead)
+        if total > max_paths:
+            raise PathBudgetExceeded(
+                f"more than {max_paths} paths of length <= {length}; "
+                "the residue algebra is too large to enumerate")
+        layer, dead_layer = nxt, nxt_dead
+    return alive, dead, short_dead, tgt, length
 
 
 def presentation_from_valued_quiver(vq, length_cap=None):
     """Algebra presentation of the order's residue quotient.
 
     Kills every path whose value exceeds the minimal value between its
-    endpoints and identifies all parallel paths of equal minimal value; the
-    relation set fed to the algebra builder consists of the minimal dead
+    endpoints and identifies all parallel paths of equal minimal value.  The
+    emitted relations (what `order ingest` writes) are the minimal dead
     one-arrow extensions of alive paths plus a star of binomial
-    identifications per endpoint pair.  Repeat calls on the same valued
-    quiver return the same presentation object (modules stay compatible).
+    identifications per endpoint pair, onto the least alive path by (length,
+    names).  Repeat calls on the same valued quiver return the same
+    presentation object (modules stay compatible).
+
+    No ideal closure is run: the class map is read off the path values.
+    Alive paths are closed under prefixes and suffixes, and extending a dead
+    path keeps it dead, so J = span(dead paths) + span(differences of
+    parallel alive paths) is a two-sided ideal.  J contains the relations.
+    Conversely each generator of J lies in the ideal the relations generate:
+    a difference of parallel alive paths is a chain of star relations, and a
+    dead path factors through its shortest dead prefix, which is a minimal
+    dead extension of an alive path.  So J is the ideal, the quotient has
+    exactly one basis path per reachable pair (its canonical alive path), a
+    path of length < N maps to (1, canonical path) when alive and to zero
+    when dead, and N is the longest alive length plus one.
     """
     cached = getattr(vq, "_presentation", None)
     if cached is not None and length_cap is None:
         return cached
     mvals = min_path_values(vq)
-    alive, dead = _alive_paths(vq, mvals)
     # arrows must realize the minimal value of their endpoints, alone in length 1
     idx = vq.quiver.index
     for a in vq.quiver.arrows:
@@ -210,29 +255,37 @@ def presentation_from_valued_quiver(vq, length_cap=None):
             raise IllFormedRelation(
                 f"arrow {a.name!r} does not realize the minimal path value; "
                 "the input is not the quiver of a residue algebra")
+    alive, dead, short_dead, tgt, N = _walk_paths(vq, mvals, MAX_PATHS)
     relations = []
     for key in dead:
         if len(key[1]) >= 2:
             relations.append(Relation.zero(key[1]))
-    for (src, tgt), keys in sorted(alive.items()):
+    sig = dict.fromkeys(short_dead)
+    for _, keys in sorted(alive.items()):
         keys = sorted(keys, key=lambda k: (len(k[1]), k[1]))
         canon = keys[0]
+        for k in keys:
+            sig[k] = (_ONE, canon)
         if not canon[1]:
             # trivial path class: all cycles of value 0 would land here; the
             # positive-cycle invariant rules those out, so nothing to do
-            others = [k for k in keys if k[1]]
-            if others:
+            if len(keys) > 1:
                 raise NonpositiveCycle("value-0 cycle slipped past validation")
             continue
-        if len(canon[1]) == 1 and any(len(k[1]) > 1 for k in keys):
+        if len(canon[1]) == 1 and len(keys) > 1:
+            if len(keys[-1][1]) > 1:
+                raise IllFormedRelation(
+                    f"arrow {canon[1][0]!r} parallel to an equal-value longer path; "
+                    "identification would break admissibility")
             raise IllFormedRelation(
-                f"arrow {canon[1][0]!r} parallel to an equal-value longer path; "
-                "identification would break admissibility")
+                f"arrows {canon[1][0]!r} and {keys[1][1][0]!r} are parallel with "
+                "equal value; identification would break admissibility")
         for other in keys[1:]:
             relations.append(Relation.equal(other[1], 1, canon[1]))
-    max_alive = max((len(k[1]) for keys in alive.values() for k in keys), default=0)
-    cap = length_cap if length_cap is not None else max_alive + 2
-    pres = build_algebra(vq.quiver, relations, length_cap=cap)
+    cap = length_cap if length_cap is not None else N + 1
+    if cap < N:
+        raise NotNilpotent(f"no N <= {cap} kills all paths")
+    pres = _finalize(vq.quiver, relations, N, cap, sig, tgt.__getitem__)
     # residue algebras of tiled orders have every simple exactly once in each
     # indecomposable projective over reachable pairs
     for i, vi in enumerate(vq.quiver.vertices):

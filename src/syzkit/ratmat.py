@@ -298,7 +298,7 @@ class QMatrix:
 
     def _int_rows(self):
         for row in self.data:
-            yield _int_row({j: x for j, x in enumerate(row) if x})
+            yield _int_row({j: x for j, x in enumerate(row) if x is not _ZERO and x})
 
     def rank(self):
         return echelon_from_rows(self._int_rows()).rank

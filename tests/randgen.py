@@ -1,6 +1,6 @@
 """Seeded random generators for the property suites: small monomial and
-binomial algebras and random quotient modules, all exact and deterministic
-per seed."""
+binomial algebras, exponent matrices of tiled orders and random quotient
+modules, all exact and deterministic per seed."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ from fractions import Fraction
 from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.errors import PathBudgetExceeded
 from syzkit.modules import direct_sum, projective_module, quotient_module
+from syzkit.orders import ExponentMatrix
 from syzkit.ratmat import QMatrix
 
 
@@ -83,6 +84,28 @@ def random_binomial_algebra(rng):
 def binomial_pool(seed, count):
     rng = random.Random(seed)
     return [random_binomial_algebra(rng) for _ in range(count)]
+
+
+def random_exponent_matrix(rng):
+    """Exponent matrix of a random basic tiled order: 2..6 tiles, entries
+    0..3 before closing under min-plus composition (which keeps the diagonal
+    0); matrices with two unit tiles (i, j) and (j, i) are drawn again."""
+    n = rng.randint(2, 6)
+    while True:
+        lam = [[0 if i == j else rng.randint(0, 3) for j in range(n)]
+               for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    lam[i][j] = min(lam[i][j], lam[i][k] + lam[k][j])
+        if all(lam[i][j] + lam[j][i] >= 1
+               for i in range(n) for j in range(i + 1, n)):
+            return ExponentMatrix.from_rows(lam)
+
+
+def tiled_order_pool(seed, count):
+    rng = random.Random(seed)
+    return [random_exponent_matrix(rng) for _ in range(count)]
 
 
 def _paths_of_length(quiver, length):

@@ -183,3 +183,13 @@ def test_zero_budget_catalog_is_a_value_error(ex_three_loop):
         build_catalog(s, 0)
     with pytest.raises(BadBudget):
         build_catalog(s, -1)
+
+
+def test_non_integer_arrow_value_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.ord"
+    path.write_text("order {\n  valued_quiver {\n    vertices: 1 2;\n"
+                    "    arrows: a: 1 -> 2 @ x;\n  }\n}\n")
+    code, doc = run_command(["order", "ingest", str(path)])
+    assert (code, doc) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4, column 25: ") and "'x'" in err

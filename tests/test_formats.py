@@ -148,3 +148,21 @@ def test_parse_order_valued_quiver(data_dir):
     again = parse_order(emit_valued_quiver(parsed))
     assert again.values == parsed.values
     assert again.quiver.arrows == parsed.quiver.arrows
+
+
+@pytest.mark.parametrize("text, where, what", [
+    ("module {\n  side: right;\n  space 4: x;\n}\n", (3, 12), "dimension"),
+    ("module {\n  side: left;\n  cokernel {\n    covers: 4, 5;\n"
+     "    kill: gamma@1 + alpha@two;\n  }\n}\n", (5, 27), "copy index"),
+    ("order {\n  exponents {\n    row: 0 0;\n    row: 1 x;\n  }\n}\n", (4, 12), "exponent"),
+    ("order {\n  valued_quiver {\n    vertices: 1 2;\n"
+     "    arrows: a: 1 -> 2 @ x;\n  }\n}\n", (4, 25), "value"),
+], ids=["space-dimension", "copy-index", "exponent", "arrow-value"])
+def test_non_integer_fields_are_positioned_parse_errors(ex_five, text, where, what):
+    with pytest.raises(ParseError) as err:
+        if text.startswith("module"):
+            parse_module(text, ex_five)
+        else:
+            parse_order(text)
+    assert (err.value.line, err.value.column) == where
+    assert f"bad {what}" in str(err.value)

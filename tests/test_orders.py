@@ -1,16 +1,21 @@
+import os
+
 import pytest
 
-from syzkit.algebra import Quiver
+from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.decompose import is_isomorphic, registry_for
-from syzkit.errors import BadExponentMatrix, LoopsPresent, NonpositiveCycle
+from syzkit.errors import (BadExponentMatrix, IllFormedRelation, LoopsPresent,
+                           NonpositiveCycle, NotNilpotent, PathBudgetExceeded)
+from syzkit.formats import emit_algebra, parse_algebra, parse_order
 from syzkit.homology import idim_both_sides, pdim, syzygy
 from syzkit.modules import projective_module, simple_module
-from syzkit.orders import (ExponentMatrix, ValuedQuiver, gldim_certificate,
-                           min_path_values, order_report,
+from syzkit.orders import (ExponentMatrix, ValuedQuiver, _walk_paths,
+                           gldim_certificate, min_path_values, order_report,
                            presentation_from_valued_quiver,
                            valued_quiver_from_exponents)
 
 import cases
+import randgen
 
 
 EXPECTED_ARROWS_6 = sorted([
@@ -242,3 +247,91 @@ def test_gldim_certificate_consistent_probe(ex_gorenstein):
     cert = gldim_certificate(vq, [e6], 8)
     assert cert["status"] == "finite-consistent"
     assert not cert["probes"][0]["violates_all_admissible_m"]
+
+
+# -- the direct builder against the generic ideal closure ------------------------
+
+
+def _relation_terms(pres):
+    return [(r.kind, r.path, r.coeff, r.other) for r in pres.relations]
+
+
+def _assert_same_algebra(direct, ref):
+    assert direct.nilpotency == ref.nilpotency
+    assert direct.basis == ref.basis
+    assert direct._class == ref._class
+    assert _relation_terms(direct) == _relation_terms(ref)
+
+
+def _order_quivers(data_dir):
+    vqs = [valued_quiver_from_exponents(e) for e in randgen.tiled_order_pool(0x7E1, 100)]
+    for name in ("ex46.ord", "ex47.ord"):
+        with open(os.path.join(data_dir, name)) as fh:
+            parsed = parse_order(fh.read())
+        if isinstance(parsed, ExponentMatrix):
+            parsed = valued_quiver_from_exponents(parsed)
+        vqs.append(parsed)
+    return vqs + [cases.six_vertex_order_quiver(), cases.gorenstein_order_quiver()]
+
+
+def test_direct_presentation_matches_ingest_round_trip(data_dir):
+    """The presentation read off the path values equals the generic closure
+    of the relations `order ingest` writes, and so do the opposites."""
+    vqs = _order_quivers(data_dir)
+    assert len(vqs) == 104
+    for vq in vqs:
+        pres = presentation_from_valued_quiver(vq)
+        ref = parse_algebra(emit_algebra(pres.quiver, pres.relations))
+        _assert_same_algebra(pres, ref)
+        _assert_same_algebra(pres.opposite(), ref.opposite())
+        assert pres.length_cap == pres.nilpotency + 1
+
+
+def _valued(arrows):
+    verts = sorted({v for _, s, t, _ in arrows for v in (s, t)})
+    return ValuedQuiver(Quiver(verts, [(n, s, t) for n, s, t, _ in arrows]),
+                        {n: v for n, _, _, v in arrows})
+
+
+def test_arrow_above_its_minimal_value_is_rejected():
+    vq = _valued([("a", "1", "2", 2), ("b", "1", "3", 0), ("c", "3", "2", 1)])
+    with pytest.raises(IllFormedRelation, match="'a' does not realize"):
+        presentation_from_valued_quiver(vq)
+
+
+def test_arrow_parallel_to_equal_value_path_is_rejected():
+    vq = _valued([("a", "1", "2", 1), ("b", "1", "3", 1), ("c", "3", "2", 0)])
+    with pytest.raises(IllFormedRelation, match="'a' parallel to an equal-value longer path"):
+        presentation_from_valued_quiver(vq)
+
+
+def test_parallel_equal_value_arrows_are_rejected():
+    vq = _valued([("a", "1", "2", 1), ("b", "1", "2", 1)])
+    with pytest.raises(IllFormedRelation) as err:
+        presentation_from_valued_quiver(vq)
+    assert "'a' and 'b' are parallel" in str(err.value)
+    # the generic engine refuses the identification too
+    with pytest.raises(IllFormedRelation):
+        build_algebra(vq.quiver, [Relation.equal(("b",), 1, ("a",))])
+
+
+def test_explicit_length_cap_below_nilpotency(ex_order6):
+    vq, pres = ex_order6
+    N = pres.nilpotency
+    fresh = cases.six_vertex_order_quiver()
+    with pytest.raises(NotNilpotent):
+        presentation_from_valued_quiver(fresh, length_cap=N - 1)
+    with pytest.raises(NotNilpotent):
+        build_algebra(vq.quiver, pres.relations, length_cap=N - 1)
+    capped = presentation_from_valued_quiver(fresh, length_cap=N)
+    assert (capped.dim, capped.nilpotency, capped.length_cap) == (pres.dim, N, N)
+    assert getattr(fresh, "_presentation", None) is None
+
+
+def test_path_walk_budget(ex_order6):
+    vq, _ = ex_order6
+    mvals = min_path_values(vq)
+    *_, N = _walk_paths(vq, mvals, 10_000)
+    assert N == 4
+    with pytest.raises(PathBudgetExceeded):
+        _walk_paths(vq, mvals, 50)
