@@ -1,4 +1,4 @@
-"""Krull-Schmidt machinery over Q: endomorphism rings, the trace-form radical,
+"""Krull-Schmidt machinery over Q: endomorphism rings, their radical,
 indecomposability certification, splitting, isomorphism testing, and the
 iso-class registry.
 
@@ -11,6 +11,21 @@ indecomposables m and n, any composition m -> n -> m that is not an
 isomorphism lands in the (local) radical of End(m), so m and n are
 isomorphic iff the trace pairing Hom(m,n) x Hom(n,m) -> Q is nonzero.
 
+rad End(m) is read on the top of m, not on m.  Every f in End(m) maps Jm
+into Jm, so it induces f-bar on the top m/Jm, and pi: f -> f-bar is an
+algebra map onto its image A, a subalgebra of End_K(m/Jm).  Then
+rad End(m) = pi^-1(rad A).  Proof: the kernel of pi is the set of f with
+f(m) in Jm, a two-sided ideal; for f_1..f_L in it the product maps m into
+J^L m = 0 (L the Loewy length), so the ideal is nilpotent and lies in
+rad End(m), and End(m)/rad End(m) = A/rad A.  So only A, of dimension at
+most sum_v t_v^2 for t = top_counts(m), meets the trace form: rad A is the
+kernel of A's trace Gram on an echelon basis of A, and each basis element
+of End(m) keeps its residue modulo rad A, a linear image that is zero
+exactly on rad End(m).  (Auslander-Reiten-Smalo, Representation Theory of
+Artin Algebras, ch. I-II; reading End/rad on the top is the idiom of
+Lux-Szoke, Computing decompositions of modules over finite-dimensional
+algebras, 2007.)
+
 Splitting takes three exact shortcuts before the general path (minimal
 polynomial of a candidate endomorphism, factored over Q by sympy):
 
@@ -18,9 +33,10 @@ polynomial of a candidate endomorphism, factored over Q by sympy):
   End ring: End(m) -> End(top m) = Q (or End(soc m) = Q) is onto, and its
   kernel maps m into Jm (or kills soc m), so it is nilpotent; End(m)/rad = Q.
 * A candidate in rad End(m) is skipped: it is nilpotent, its minimal
-  polynomial is a power of x, and that never splits m.  phi is radical iff
-  tr(phi o b) = 0 for every basis element b, i.e. iff its coordinates
-  annihilate the Gram matrix, so a radical basis element has a zero Gram row.
+  polynomial is a power of x, and that never splits m.  A combination
+  sum c_i f_i is radical iff sum c_i residue(f_i) = 0, and a product f o g
+  iff the residue of f-bar g-bar is zero, so a radical candidate is never
+  built.
 * A non-scalar idempotent splits as ker(phi - 1) (+) ker(phi) at once, the
   pieces and order the general path gives for its minimal polynomial x^2 - x
   (factor_over_rationals sorts x - 1 before x).
@@ -35,9 +51,10 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
                      WitnessSearchExhausted, ZeroModuleError)
-from .modules import (ModMorphism, hom_basis, identity_morphism,
-                      kernel_module, socle_counts, top_counts)
-from .ratmat import Echelon, QMatrix, _ZERO, _int_row, solve_right
+from .modules import (ModMorphism, hom_basis, identity_morphism, kernel_module,
+                      radical_rows, socle_counts, top_columns, top_counts)
+from .ratmat import (Echelon, QMatrix, _ZERO, _int_row, echelon_from_rows, nullspace,
+                     pivot_columns, solve_right)
 
 Frac = Fraction
 
@@ -58,7 +75,10 @@ def _linear_combination(coeffs, basis):
 def _entries_by_row(f):
     """Nonzero entries of a morphism as {position: Fraction}, each vertex
     block read row by row, blocks in vertex order.  The shared zero is
-    skipped by identity; any other zero falls back to its truth value."""
+    skipped by identity; any other zero falls back to its truth value.
+    With _entries_by_col, these feed the registry's trace pairing:
+    tr(g o f) = sum_v sum_ij G_v[i][j] F_v[j][i] is the sparse dot product
+    of _entries_by_row(g) and _entries_by_col(f)."""
     entries = itertools.chain.from_iterable(row for m in f.mats for row in m.data)
     return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
 
@@ -69,10 +89,10 @@ def _entries_by_col(f):
     return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
 
 
-def _trace_of_composite(g_rows, f_cols):
-    """tr(g o f) = sum_v sum_ij G_v[i][j] F_v[j][i], from _entries_by_row(g)
-    and _entries_by_col(f): a sparse dot product, no matrix product formed."""
-    a, b = (g_rows, f_cols) if len(g_rows) <= len(f_cols) else (f_cols, g_rows)
+def _sparse_dot(a, b):
+    """sum a[p] b[p] over two {position: Fraction} dicts."""
+    if len(a) > len(b):
+        a, b = b, a
     t = _ZERO
     for p, x in a.items():
         y = b.get(p)
@@ -82,32 +102,129 @@ def _trace_of_composite(g_rows, f_cols):
 
 
 class EndRing:
-    """Endomorphism ring data: a basis of morphisms and the trace Gram matrix."""
+    """Endomorphism ring data: a basis of morphisms and, per basis element,
+    its residue in End(m)/rad, read on the top of m (module docstring).
+
+    A top map f-bar sits in flat coordinates: entry (i, j) of its block at
+    vertex v, the coefficient of top generator i in the image of generator j,
+    is position offset_v + i * t_v + j, with t = top_counts(m).  A is spanned
+    by the echelon rows of the f-bar; an element of A has the A-coordinates
+    of its entries at their pivots, and its residue mod rad A is those
+    coordinates folded along the reduced echelon rows of A's trace Gram: a
+    linear map whose kernel is exactly rad A.
+    """
 
     def __init__(self, module, basis):
         self.module = module
         self.basis = basis
-        k = len(basis)
-        self.gram = QMatrix.zeros(k, k)
-        rows = [_entries_by_row(f) for f in basis]
-        cols = [_entries_by_col(f) for f in basis]
-        for i in range(k):
-            for j in range(i, k):
-                t = _trace_of_composite(rows[i], cols[j])
-                self.gram.data[i][j] = t
-                self.gram.data[j][i] = t
+        self._cells = []      # flat top position -> (offset_v, t_v, i, j)
+        self._reads = []      # (v, offset_v, t_v, free columns, pivot rows)
+        for v, (free, rad) in enumerate(zip(top_columns(module), radical_rows(module))):
+            t = len(free)
+            if not t:
+                continue
+            off = len(self._cells)
+            self._cells.extend((off, t, i, j) for i in range(t) for j in range(t))
+            # modulo JM the unit vector at pivot p is e_p - R_p, that is
+            # -sum_i R_p[free[i]] times top generator i
+            pivot_rows = [(p, [(i, row[c]) for i, c in enumerate(free) if row[c]])
+                          for p, row in zip(pivot_columns(rad), rad.data)]
+            self._reads.append((v, off, t, free, pivot_rows))
+        self._tops = [self._top(f) for f in basis]
+        a_rref = echelon_from_rows(_int_row(x) for x in self._tops).rref_rows()
+        self._a_pivots = [c for c, _ in a_rref]
+        # trace form of A on its echelon basis: tr(x y) = sum_q x[q] y[q^T]
+        flip = [off + j * t + i for off, t, i, j in self._cells]
+        transposed = [{flip[q]: x for q, x in a.items()} for _, a in a_rref]
+        gram = [{} for _ in a_rref]
+        for s_, (_, a) in enumerate(a_rref):
+            for u in range(s_, len(a_rref)):
+                tr = _sparse_dot(a, transposed[u])
+                if tr:
+                    gram[s_][u] = gram[u][s_] = tr
+        g_rref = echelon_from_rows(_int_row(row) for row in gram).rref_rows()
+        # residue of A-coordinates x: x at the Gram pivots plus, for each
+        # free Gram column f, x[f] times column f of the Gram's RREF
+        self._g_pivots = {p for p, _ in g_rref}
+        self._folds = {}      # free Gram column -> {Gram pivot: RREF entry}
+        for p, row in g_rref:
+            for f, x in row.items():
+                if f != p:
+                    self._folds.setdefault(f, {})[p] = x
+        self.residues = [self._residue(x) for x in self._tops]
+        by_coord = {}         # residue coordinate -> [(basis index, entry)]
+        for i, r in enumerate(self.residues):
+            for p, x in r.items():
+                by_coord.setdefault(p, []).append((i, x))
+        self._by_coord = list(by_coord.values())
+
+    def _top(self, f):
+        """f-bar in flat top coordinates: f's columns at the free columns of
+        JM's echelon basis, reduced modulo JM."""
+        out = {}
+        for v, off, t, free, pivot_rows in self._reads:
+            cols = list(zip(*f.mats[v].data))
+            for j, c in enumerate(free):
+                col = cols[c]
+                if col.count(_ZERO) == len(col):    # most columns: scanned in C
+                    continue
+                for i, r in enumerate(free):
+                    y = col[r]
+                    if y is not _ZERO and y:
+                        out[off + i * t + j] = y
+                for p, terms in pivot_rows:
+                    y = col[p]
+                    if y is not _ZERO and y:
+                        for i, x in terms:
+                            q = off + i * t + j
+                            out[q] = out.get(q, _ZERO) - y * x
+        return {q: x for q, x in out.items() if x}
+
+    def _residue(self, top):
+        """Residue mod rad A of an element of A, given by its top map."""
+        coords = [(s_, top.get(c)) for s_, c in enumerate(self._a_pivots)]
+        out = {s_: x for s_, x in coords if x and s_ in self._g_pivots}
+        for s_, x in coords:
+            if x and s_ in self._folds:
+                for p, y in self._folds[s_].items():
+                    out[p] = out.get(p, _ZERO) + x * y
+        return {p: x for p, x in out.items() if x}
+
+    def product_is_radical(self, i, j):
+        """True iff basis[i] o basis[j] lies in rad End(m); its top is the
+        product of the two tops, so nothing is composed."""
+        cells = self._cells
+        rows = {}
+        for q, y in self._tops[j].items():
+            off, t, r, c = cells[q]
+            rows.setdefault(off + r * t, []).append((c, y))
+        prod = {}
+        for q, x in self._tops[i].items():
+            off, t, r, c = cells[q]
+            for c2, y in rows.get(off + c * t, ()):
+                key = off + r * t + c2
+                prod[key] = prod.get(key, _ZERO) + x * y
+        return not self._residue(prod)
+
+    def is_radical(self, coeffs):
+        """True iff sum c_i basis[i] lies in rad End(m): every residue
+        coordinate of the combination vanishes."""
+        return not any(sum(coeffs[i] * x for i, x in col) for col in self._by_coord)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def semisimple_dim(self):
-        """dim of End/rad = rank of the trace form."""
-        return self.gram.rank()
+        """dim of End/rad = rank of the residues = rank of A's trace Gram."""
+        return len(self._g_pivots)
 
     def radical_combos(self):
-        """Coefficient rows (in the basis) spanning the Jacobson radical."""
-        return self.gram.kernel_rows()
+        """Coefficient rows (in the basis) spanning the Jacobson radical: the
+        null space of the residues."""
+        k = len(self.basis)
+        _, rows = nullspace([_int_row(dict(col)) for col in self._by_coord], k)
+        return QMatrix._of(len(rows), k, rows)
 
     def combo(self, coeffs):
         out = _linear_combination(coeffs, self.basis)
@@ -342,39 +459,32 @@ def _split_by_idempotent(phi):
     return piece1, piece2
 
 
-def _outside_radical(coeffs, gram):
-    """True iff sum c_i basis[i] is outside rad End: coeffs . Gram != 0."""
-    return any(sum(c * x for c, x in zip(coeffs, row) if c) for row in gram)
-
-
 def _candidate_endos(e, rng):
     """Candidate splitting endomorphisms outside rad End(m), in a fixed order:
     the basis, products and sums of pairs from its first ten elements, then
-    seeded random combinations.  Radical candidates are skipped, unbuilt where
-    their coordinates are known; a product with a radical factor is radical."""
+    seeded random combinations.  Radical candidates are skipped, unbuilt:
+    membership is read on the residues, a product's from the product of
+    the two tops."""
     basis = e.basis
-    gram = e.gram.data
-    outside = [any(row) for row in gram]
+    outside = [bool(r) for r in e.residues]
     for f, keep in zip(basis, outside):
         if keep:
             yield f
-    cols = None
     # pairwise products of a large basis get expensive fast
     for i, j in itertools.combinations(range(min(len(basis), 10)), 2):
         f, g = basis[i], basis[j]
         if outside[i] and outside[j]:
-            if cols is None:
-                cols = [_entries_by_col(b) for b in basis]
-            for phi in (f.compose(g), g.compose(f)):
-                rows = _entries_by_row(phi)
-                if any(_trace_of_composite(rows, c) for c in cols):
-                    yield phi
-        if any(a + b for a, b in zip(gram[i], gram[j])):
+            if not e.product_is_radical(i, j):
+                yield f.compose(g)
+            if not e.product_is_radical(j, i):
+                yield g.compose(f)
+        ri, rj = e.residues[i], e.residues[j]
+        if any(ri.get(p, _ZERO) + rj.get(p, _ZERO) for p in ri.keys() | rj.keys()):
             yield f.add(g)
     k = len(basis)
     for _ in range(_SPLIT_RANDOM_TRIES):
         coeffs = [Frac(rng.randint(-3, 3)) for _ in range(k)]
-        if _outside_radical(coeffs, gram):
+        if not e.is_radical(coeffs):
             yield e.combo(coeffs)
 
 
@@ -469,7 +579,7 @@ def _pairing_traces(fwd, bwd):
     for f in fwd:
         f_cols = _entries_by_col(f)
         for g in g_rows:
-            yield _trace_of_composite(g, f_cols)
+            yield _sparse_dot(g, f_cols)
 
 
 def is_isomorphic(m, n, check=True):

@@ -23,8 +23,8 @@ from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
 from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
                       kernel_module, projective_layout, projective_module,
-                      radical_rows, zero_module)
-from .ratmat import QMatrix, nullspace
+                      top_columns, zero_module)
+from .ratmat import QMatrix
 
 DEFAULT_BUDGET = 24
 
@@ -45,11 +45,9 @@ def projective_cover(m):
     eng = m.engine_presentation()
     quiver = eng.quiver
     nv = len(quiver.vertices)
-    rad = radical_rows(m)
     # top representatives: the unit vectors of M_v at the free columns of
     # the radical's row space, kept as (vertex_index, column)
-    lifts = [(v, c) for v in range(nv)
-             for c in nullspace(rad[v]._int_rows(), m.dims[v])[0]]
+    lifts = [(v, c) for v, free in enumerate(top_columns(m)) for c in free]
     if not lifts:
         cov = zero_module(m.algebra, m.side)
         surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],

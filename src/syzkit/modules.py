@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
 from .ratmat import (_ZERO, QMatrix, _int_row, echelon_from_rows, nullspace,
-                     solve_columns, stack_rows)
+                     pivot_columns, stack_rows)
 
 Frac = Fraction
 
@@ -35,7 +35,7 @@ class RepModule:
     """A finite-dimensional left or right module, given by one exact-rational
     space per vertex and one action matrix per arrow."""
 
-    __slots__ = ("algebra", "side", "dims", "act", "_path_cache")
+    __slots__ = ("algebra", "side", "dims", "act", "_path_cache", "_radical")
 
     def __init__(self, algebra, side, dims, act, validate=True):
         _check_side(side)
@@ -48,6 +48,7 @@ class RepModule:
             raise DimensionMismatch("negative vertex dimension")
         self.act = dict(act)
         self._path_cache = {}
+        self._radical = None       # radical_rows, filled on first use
         eng = self.engine_presentation()
         for a in eng.quiver.arrows:
             m = self.act.get(a.name)
@@ -317,7 +318,10 @@ def submodule(m, vertex_rows):
     """Submodule spanned by the given per-vertex row spaces (must be stable).
 
     vertex_rows: list of QMatrix whose rows span the subspace at each vertex.
-    Returns (sub_module, inclusion).
+    Returns (sub_module, inclusion).  Each basis is the reduced echelon basis
+    of its row space, so a vector y of the span has coordinate y[p] along the
+    row with pivot p; y lies in the span iff y = sum_p y[p] row_p holds at the
+    free columns as well (it holds at the pivots by construction).
     """
     eng = m.engine_presentation()
     idx = eng.quiver.index
@@ -327,15 +331,28 @@ def submodule(m, vertex_rows):
             raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
         bases.append(rows.row_space())
     dims = [b.nrows for b in bases]
+    pivots = [pivot_columns(b) for b in bases]
+    # per vertex and free column c: the nonzero (row index, row[c]) of the basis
+    frees = []
+    for b, piv in zip(bases, pivots):
+        on_pivot = set(piv)
+        frees.append([(c, [(r, row[c]) for r, row in enumerate(b.data) if row[c]])
+                      for c in range(b.ncols) if c not in on_pivot])
     act = {}
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
         img = m.act[a.name] * bases[s].transpose()  # ambient t-space columns
-        coords = solve_columns(bases[t].transpose(), img)
-        if coords is None:
-            raise IllFormedRelation(
-                f"subspaces not stable under arrow {a.name!r}")
-        act[a.name] = coords
+        coords = [img.data[p] for p in pivots[t]]
+        for c, col in frees[t]:
+            residual = list(img.data[c])
+            for r, x in col:
+                for j, y in enumerate(coords[r]):
+                    if y:
+                        residual[j] -= x * y
+            if any(residual):
+                raise IllFormedRelation(
+                    f"subspaces not stable under arrow {a.name!r}")
+        act[a.name] = QMatrix._of(dims[t], dims[s], coords)
     sub = RepModule(m.algebra, m.side, dims, act, validate=False)
     incl = ModMorphism(sub, m, [b.transpose() for b in bases], validate=False)
     return sub, incl
@@ -380,7 +397,10 @@ def kernel_module(f):
 
 
 def radical_rows(m):
-    """Per-vertex row bases of J*M (engine view: sum of arrow images)."""
+    """Per-vertex reduced echelon row bases of J*M (engine view: sum of arrow
+    images).  Computed once per module, since a module is never mutated."""
+    if m._radical is not None:
+        return m._radical
     eng = m.engine_presentation()
     idx = eng.quiver.index
     pieces = {v: [] for v in range(len(m.dims))}
@@ -395,6 +415,17 @@ def radical_rows(m):
             out.append(stack_rows(pieces[v]).row_space())
         else:
             out.append(QMatrix.zeros(0, m.dims[v]))
+    m._radical = tuple(out)
+    return m._radical
+
+
+def top_columns(m):
+    """Per vertex, the free columns of radical_rows(m): the unit vectors there
+    are representatives of a basis of the top M/JM."""
+    out = []
+    for d, rows in zip(m.dims, radical_rows(m)):
+        pivots = set(pivot_columns(rows))
+        out.append([c for c in range(d) if c not in pivots])
     return out
 
 

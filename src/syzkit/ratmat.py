@@ -377,6 +377,11 @@ def solve_right(a, vec):
     return sol.column(0)
 
 
+def pivot_columns(rref):
+    """Pivot column of each row of a reduced echelon QMatrix (row_space)."""
+    return [next(j for j, x in enumerate(row) if x) for row in rref.data]
+
+
 def stack_rows(mats):
     """Vertically stack matrices (all with the same column count)."""
     mats = [m for m in mats]

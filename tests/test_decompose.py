@@ -11,11 +11,15 @@ from syzkit.decompose import (_pairing_traces, _trace_pairing_nonzero, end_ring,
                               minimal_polynomial, modules_isomorphic,
                               radical_of_end, registry_for, split_once)
 from syzkit.errors import ExtensionFieldAmbiguity, ZeroModuleError
+from syzkit.formats import parse_algebra
 from syzkit.homology import injective_indecomposables, syzygy
 from syzkit.modules import (ModMorphism, direct_sum, hom_basis,
                             identity_morphism, kernel_module, projective_module,
-                            simple_module, top_counts, zero_module)
-from syzkit.orders import presentation_from_valued_quiver
+                            regular_module, simple_module, top_counts,
+                            zero_module)
+from syzkit.orders import (presentation_from_valued_quiver,
+                           valued_quiver_from_exponents)
+from syzkit.ratmat import QMatrix
 from syzkit.repetition import _test_module_side
 
 import cases
@@ -190,16 +194,94 @@ def _differential_modules():
                     yield omega
 
 
+# -- frozen reference: the full-module trace Gram ------------------------------
+# End(m)/rad read off the k x k Gram matrix of tr_M(f o g) over all of m, and
+# the candidate stream pruned by its rows, as they were before the radical was
+# read on the top of m.
+
+
+def _reference_entries(f, by_col):
+    """Nonzero entries of a morphism as {position: Fraction}, each vertex
+    block read row by row (or column by column), blocks in vertex order."""
+    blocks = (zip(*m.data) if by_col else m.data for m in f.mats)
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(blocks))
+    return {p: x for p, x in enumerate(entries) if x}
+
+
+def _reference_trace(g_rows, f_cols):
+    return sum((x * f_cols[p] for p, x in g_rows.items() if p in f_cols), Fraction(0))
+
+
+def _reference_gram(basis):
+    k = len(basis)
+    gram = QMatrix.zeros(k, k)
+    rows = [_reference_entries(f, False) for f in basis]
+    cols = [_reference_entries(f, True) for f in basis]
+    for i in range(k):
+        for j in range(i, k):
+            gram.data[i][j] = gram.data[j][i] = _reference_trace(rows[i], cols[j])
+    return gram
+
+
+def _reference_pruned_candidates(e, rng):
+    """The split loop's candidate stream, radical candidates dropped by the
+    rows of e's full Gram; products are composed, then tested."""
+    basis = e.basis
+    gram = e.gram.data
+    outside = [any(row) for row in gram]
+    for f, keep in zip(basis, outside):
+        if keep:
+            yield f
+    cols = [_reference_entries(b, True) for b in basis]
+    for i, j in itertools.combinations(range(min(len(basis), 10)), 2):
+        f, g = basis[i], basis[j]
+        if outside[i] and outside[j]:
+            for phi in (f.compose(g), g.compose(f)):
+                rows = _reference_entries(phi, False)
+                if any(_reference_trace(rows, c) for c in cols):
+                    yield phi
+        if any(a + b for a, b in zip(gram[i], gram[j])):
+            yield f.add(g)
+    nonzero_rows = [[(i, x) for i, x in enumerate(row) if x] for row in gram if any(row)]
+    for _ in range(decompose._SPLIT_RANDOM_TRIES):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(len(basis))]
+        if any(sum(coeffs[i] * x for i, x in row) for row in nonzero_rows):
+            yield e.combo(coeffs)
+
+
+class _GramEndRing:
+    """End ring whose radical is the kernel of the full-module trace Gram."""
+
+    def __init__(self, module, basis):
+        self.module = module
+        self.basis = basis
+        self.gram = _reference_gram(basis)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def semisimple_dim(self):
+        return self.gram.rank()
+
+    def radical_combos(self):
+        return self.gram.kernel_rows()
+
+    combo = decompose.EndRing.combo
+
+
 def test_trace_form_matches_composite_traces():
-    """Every Gram entry and every trace pairing, read off by sparse dot
-    products, equals the trace of the composed morphism."""
+    """Every entry of the frozen full-module Gram and every trace pairing,
+    read off by sparse dot products, equals the trace of the composed
+    morphism."""
     pieces = []
     checked = 0
     for mod in _differential_modules():
         e = end_ring(mod)
+        gram = _reference_gram(e.basis)
         for i, f in enumerate(e.basis):
             for j, g in enumerate(e.basis):
-                assert e.gram.data[i][j] == f.compose(g).trace()
+                assert gram.data[i][j] == f.compose(g).trace()
                 checked += 1
         pieces.extend(krull_schmidt(mod))
     assert checked > 500
@@ -402,6 +484,86 @@ def test_candidates_are_the_reference_stream_minus_the_radical():
         assert got == want
     kinds = {"basis", "product", "sum", "random"}
     assert kept == kinds and skipped == kinds
+
+
+def _top_first_groups(data_dir):
+    """(algebra, side, modules) over seeded monomial, binomial and tiled-order
+    pools: projectives, the first two syzygies of each simple, a random
+    module, a large-top S_v^3 and (+)_v S_v^2, two copies of a projective and
+    the regular module; the syzygies of degree 1..10 of the simple of the
+    local algebra loc.alg."""
+    algebras = randgen.algebra_pool(0x70, 2) + randgen.binomial_pool(0x71, 2)
+    algebras += [presentation_from_valued_quiver(valued_quiver_from_exponents(lam))
+                 for lam in randgen.tiled_order_pool(0x72, 2)]
+    rng = random.Random(0x73)
+    for alg in algebras:
+        verts = alg.quiver.vertices
+        for side in ("left", "right"):
+            mods = [projective_module(alg, v, side) for v in verts]
+            for v in verts:
+                omega = syzygy(simple_module(alg, v, side))
+                for _ in range(2):
+                    if omega.is_zero():
+                        break
+                    mods.append(omega)
+                    omega = syzygy(omega)
+            mods.append(randgen.random_module(rng, alg, side))
+            simples = [simple_module(alg, v, side) for v in verts]
+            mods.append(direct_sum([simples[0]] * 3)[0])
+            mods.append(direct_sum(simples + simples)[0])
+            mods.append(direct_sum([mods[0]] * 2)[0])
+            mods.append(regular_module(alg, side))
+            yield alg, side, mods
+    with open(f"{data_dir}/loc.alg") as fh:
+        loc = parse_algebra(fh.read())
+    omega, omegas = simple_module(loc, loc.quiver.vertices[0], "left"), []
+    for _ in range(10):
+        omega = syzygy(omega)
+        omegas.append(omega)
+    yield loc, "left", omegas
+
+
+def _stream_keys(e, candidates):
+    """Candidates as their matrices; random combinations as their
+    coefficients, so the stream is compared without building them."""
+    e.combo = tuple
+    return [phi if isinstance(phi, tuple) else phi.mats for phi in candidates]
+
+
+def _registry_ids(groups):
+    out = []
+    for alg, side, mods in groups:
+        reg = decompose.IsoClassRegistry(alg, side)
+        out.append([sorted(reg.classify(m).items()) for m in mods])
+        out.append([c.dims for c in reg.classes])
+    return out
+
+
+def test_top_radical_matches_the_full_module_gram(data_dir, monkeypatch):
+    """End/rad read on the top gives the frozen full-module Gram's answers:
+    the same End/rad dimension, the same radical basis rows, the same
+    candidate stream and, through the whole split loop, the same registry
+    ids."""
+    groups = list(_top_first_groups(data_dir))
+    rings = big_top = semisimple_parts = 0
+    for _, _, mods in groups:
+        for mod in mods:
+            e = end_ring(mod)
+            ref = _GramEndRing(mod, e.basis)
+            assert e.semisimple_dim() == ref.semisimple_dim()
+            assert e.radical_combos().tolist() == ref.radical_combos().tolist()
+            got = _stream_keys(e, decompose._candidate_endos(e, random.Random(0x5A7A)))
+            want = _stream_keys(ref, _reference_pruned_candidates(
+                ref, random.Random(0x5A7A)))
+            assert got == want
+            rings += 1
+            big_top += sum(t * t for t in top_counts(mod)) >= 9
+            semisimple_parts += e.semisimple_dim() > 1
+    assert rings > 150 and big_top > 20 and semisimple_parts > 40
+    got = _registry_ids(groups)
+    monkeypatch.setattr(decompose, "end_ring", lambda m: _GramEndRing(m, hom_basis(m, m)))
+    monkeypatch.setattr(decompose, "_candidate_endos", _reference_pruned_candidates)
+    assert got == _registry_ids(groups)
 
 
 def _count_calls(monkeypatch, name):

@@ -5,9 +5,10 @@ import pytest
 
 from syzkit.errors import IllFormedRelation
 from syzkit.modules import (RepModule, direct_sum, hom_basis, projective_layout,
-                            projective_module, radical_filtration, simple_module,
-                            socle_counts, tensor_dim, top_counts)
-from syzkit.ratmat import QMatrix
+                            projective_module, radical_filtration,
+                            radical_series_rows, simple_module, socle_counts,
+                            submodule, tensor_dim, top_counts)
+from syzkit.ratmat import QMatrix, solve_columns
 
 import cases
 import randgen
@@ -51,6 +52,57 @@ def test_projective_hereditary_a2():
     alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [])
     p = projective_module(alg, "1", "left")
     assert p.dims == (1, 1)
+
+
+def test_submodule_rejects_rows_that_are_not_stable():
+    """a maps the generator at 1 to e1 + e2: span(e1) at 2 meets the image
+    at its pivot and misses it only at the free column."""
+    from syzkit.algebra import Quiver, build_algebra
+
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [])
+    m = RepModule(alg, "left", (1, 2), {"a": QMatrix.from_rows([[1], [1]])})
+    top = QMatrix.from_rows([[2]])
+    for rows_at_2 in (QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[0, 5]]),
+                      QMatrix.zeros(0, 2)):
+        with pytest.raises(IllFormedRelation, match="not stable under arrow 'a'"):
+            submodule(m, [top, rows_at_2])
+    sub, incl = submodule(m, [top, QMatrix.from_rows([[3, 3]])])
+    assert sub.dims == (1, 1)
+    assert sub.act["a"] == QMatrix.from_rows([[1]])
+    assert incl.mats[1] == QMatrix.from_rows([[1], [1]])
+
+
+def test_submodule_coordinates_match_a_solve():
+    """On radical layers (stable) and random row spaces (mostly not), the
+    submodule exists iff every arrow's image solves into the target rows,
+    and its matrices are those solutions."""
+    rng = random.Random(0x5B0)
+    stable = unstable = 0
+    for alg in randgen.algebra_pool(0x5B1, 6) + randgen.binomial_pool(0x5B2, 3):
+        for side in ("left", "right"):
+            m = randgen.random_module(rng, alg, side)
+            eng = m.engine_presentation()
+            eng_arrows = [(a.name, eng.quiver.index[a.source], eng.quiver.index[a.target])
+                          for a in eng.quiver.arrows]
+            tries = radical_series_rows(m)[1:]
+            for _ in range(6):
+                tries.append([QMatrix.from_rows([[rng.randint(-1, 1) for _ in range(d)]
+                                                 for _ in range(rng.randint(0, d))], ncols=d)
+                              for d in m.dims])
+            for rows in tries:
+                bases = [r.row_space() for r in rows]
+                want = {name: solve_columns(bases[t].transpose(),
+                                            m.act[name] * bases[s].transpose())
+                        for name, s, t in eng_arrows}
+                if any(x is None for x in want.values()):
+                    with pytest.raises(IllFormedRelation):
+                        submodule(m, rows)
+                    unstable += 1
+                else:
+                    sub, _ = submodule(m, rows)
+                    assert sub.act == want
+                    stable += 1
+    assert stable > 30 and unstable > 30
 
 
 def test_dual_involution_and_side(ex_five):
