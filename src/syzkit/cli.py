@@ -14,7 +14,7 @@ from .errors import SyzkitError
 from .formats import (emit_algebra, emit_valued_quiver, parse_algebra,
                       parse_module, parse_order)
 from .graphs import layered_graph
-from .homology import injective_indecomposables, pdim, resolve
+from .homology import DEFAULT_BUDGET, injective_indecomposables, pdim, resolve
 from .modules import direct_sum, simple_module
 from .orders import (ExponentMatrix, gldim_certificate, order_report,
                      presentation_from_valued_quiver,
@@ -22,8 +22,6 @@ from .orders import (ExponentMatrix, gldim_certificate, order_report,
 from .report import ReportDocument
 from .repetition import (build_catalog, build_transition_system, findim_bounds,
                          repetition_index, stabilization_bound, syzygy_type)
-
-DEFAULT_BUDGET = 24
 
 
 def _read(path):

@@ -9,7 +9,12 @@ against E vanish, and conversely an element of the form radical has all
 power traces zero, hence is nilpotent by Newton's identities.  Second, for
 indecomposables m and n, any composition m -> n -> m that is not an
 isomorphism lands in the (local) radical of End(m), so m and n are
-isomorphic iff the trace pairing Hom(m,n) x Hom(n,m) -> Q is nonzero.
+isomorphic iff the trace pairing Hom(m,n) x Hom(n,m) -> Q is nonzero; and
+the pairing is read on the tops.  A composite g o f is lambda 1 + (radical)
+with lambda in Q, and a radical endomorphism induces a nilpotent map on the
+top m/Jm (its image lies in rad A, below), so the trace of
+(g o f)-bar = g-bar f-bar over top m is lambda dim top(m), nonzero iff the
+trace lambda dim m over all of m is.
 
 rad End(m) is read on the top of m, not on m.  Every f in End(m) maps Jm
 into Jm, so it induces f-bar on the top m/Jm, and pi: f -> f-bar is an
@@ -26,8 +31,10 @@ Artin Algebras, ch. I-II; reading End/rad on the top is the idiom of
 Lux-Szoke, Computing decompositions of modules over finite-dimensional
 algebras, 2007.)
 
-Splitting takes three exact shortcuts before the general path (minimal
-polynomial of a candidate endomorphism, factored over Q by sympy):
+split_once makes the one split decision (krull_schmidt and
+is_indecomposable call it) and takes three exact shortcuts before the
+general path (minimal polynomial of a candidate endomorphism, factored over
+Q by sympy):
 
 * A module with a simple top or a simple socle is indecomposable without an
   End ring: End(m) -> End(top m) = Q (or End(soc m) = Q) is onto, and its
@@ -52,9 +59,9 @@ from fractions import Fraction
 from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
                      WitnessSearchExhausted, ZeroModuleError)
 from .modules import (ModMorphism, hom_basis, identity_morphism, kernel_module,
-                      radical_rows, socle_counts, top_columns, top_counts)
+                      socle_counts, top_counts, top_map)
 from .ratmat import (Echelon, QMatrix, _ZERO, _int_row, echelon_from_rows, nullspace,
-                     pivot_columns, solve_right)
+                     solve_right)
 
 Frac = Fraction
 
@@ -72,23 +79,6 @@ def _linear_combination(coeffs, basis):
     return out
 
 
-def _entries_by_row(f):
-    """Nonzero entries of a morphism as {position: Fraction}, each vertex
-    block read row by row, blocks in vertex order.  The shared zero is
-    skipped by identity; any other zero falls back to its truth value.
-    With _entries_by_col, these feed the registry's trace pairing:
-    tr(g o f) = sum_v sum_ij G_v[i][j] F_v[j][i] is the sparse dot product
-    of _entries_by_row(g) and _entries_by_col(f)."""
-    entries = itertools.chain.from_iterable(row for m in f.mats for row in m.data)
-    return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
-
-
-def _entries_by_col(f):
-    """The same for the transposed blocks: each block read column by column."""
-    entries = itertools.chain.from_iterable(col for m in f.mats for col in zip(*m.data))
-    return {p: x for p, x in enumerate(entries) if x is not _ZERO and x}
-
-
 def _sparse_dot(a, b):
     """sum a[p] b[p] over two {position: Fraction} dicts."""
     if len(a) > len(b):
@@ -101,41 +91,30 @@ def _sparse_dot(a, b):
     return t
 
 
+def _transpose(top):
+    """The transpose of a top map in {(v, i, j): x} form; tr(x y) is
+    _sparse_dot(x, _transpose(y))."""
+    return {(v, j, i): x for (v, i, j), x in top.items()}
+
+
 class EndRing:
     """Endomorphism ring data: a basis of morphisms and, per basis element,
     its residue in End(m)/rad, read on the top of m (module docstring).
 
-    A top map f-bar sits in flat coordinates: entry (i, j) of its block at
-    vertex v, the coefficient of top generator i in the image of generator j,
-    is position offset_v + i * t_v + j, with t = top_counts(m).  A is spanned
-    by the echelon rows of the f-bar; an element of A has the A-coordinates
-    of its entries at their pivots, and its residue mod rad A is those
-    coordinates folded along the reduced echelon rows of A's trace Gram: a
-    linear map whose kernel is exactly rad A.
+    A is spanned by the echelon rows of the top maps f-bar (modules.top_map);
+    an element of A has the A-coordinates of its entries at their pivots, and
+    its residue mod rad A is those coordinates folded along the reduced
+    echelon rows of A's trace Gram: a linear map whose kernel is exactly rad A.
     """
 
     def __init__(self, module, basis):
         self.module = module
         self.basis = basis
-        self._cells = []      # flat top position -> (offset_v, t_v, i, j)
-        self._reads = []      # (v, offset_v, t_v, free columns, pivot rows)
-        for v, (free, rad) in enumerate(zip(top_columns(module), radical_rows(module))):
-            t = len(free)
-            if not t:
-                continue
-            off = len(self._cells)
-            self._cells.extend((off, t, i, j) for i in range(t) for j in range(t))
-            # modulo JM the unit vector at pivot p is e_p - R_p, that is
-            # -sum_i R_p[free[i]] times top generator i
-            pivot_rows = [(p, [(i, row[c]) for i, c in enumerate(free) if row[c]])
-                          for p, row in zip(pivot_columns(rad), rad.data)]
-            self._reads.append((v, off, t, free, pivot_rows))
-        self._tops = [self._top(f) for f in basis]
+        self._tops = [top_map(f) for f in basis]
         a_rref = echelon_from_rows(_int_row(x) for x in self._tops).rref_rows()
         self._a_pivots = [c for c, _ in a_rref]
-        # trace form of A on its echelon basis: tr(x y) = sum_q x[q] y[q^T]
-        flip = [off + j * t + i for off, t, i, j in self._cells]
-        transposed = [{flip[q]: x for q, x in a.items()} for _, a in a_rref]
+        # the trace form of A on its echelon basis
+        transposed = [_transpose(a) for _, a in a_rref]
         gram = [{} for _ in a_rref]
         for s_, (_, a) in enumerate(a_rref):
             for u in range(s_, len(a_rref)):
@@ -158,28 +137,6 @@ class EndRing:
                 by_coord.setdefault(p, []).append((i, x))
         self._by_coord = list(by_coord.values())
 
-    def _top(self, f):
-        """f-bar in flat top coordinates: f's columns at the free columns of
-        JM's echelon basis, reduced modulo JM."""
-        out = {}
-        for v, off, t, free, pivot_rows in self._reads:
-            cols = list(zip(*f.mats[v].data))
-            for j, c in enumerate(free):
-                col = cols[c]
-                if col.count(_ZERO) == len(col):    # most columns: scanned in C
-                    continue
-                for i, r in enumerate(free):
-                    y = col[r]
-                    if y is not _ZERO and y:
-                        out[off + i * t + j] = y
-                for p, terms in pivot_rows:
-                    y = col[p]
-                    if y is not _ZERO and y:
-                        for i, x in terms:
-                            q = off + i * t + j
-                            out[q] = out.get(q, _ZERO) - y * x
-        return {q: x for q, x in out.items() if x}
-
     def _residue(self, top):
         """Residue mod rad A of an element of A, given by its top map."""
         coords = [(s_, top.get(c)) for s_, c in enumerate(self._a_pivots)]
@@ -193,17 +150,13 @@ class EndRing:
     def product_is_radical(self, i, j):
         """True iff basis[i] o basis[j] lies in rad End(m); its top is the
         product of the two tops, so nothing is composed."""
-        cells = self._cells
         rows = {}
-        for q, y in self._tops[j].items():
-            off, t, r, c = cells[q]
-            rows.setdefault(off + r * t, []).append((c, y))
+        for (v, r, c), y in self._tops[j].items():
+            rows.setdefault((v, r), []).append((c, y))
         prod = {}
-        for q, x in self._tops[i].items():
-            off, t, r, c = cells[q]
-            for c2, y in rows.get(off + c * t, ()):
-                key = off + r * t + c2
-                prod[key] = prod.get(key, _ZERO) + x * y
+        for (v, r, c), x in self._tops[i].items():
+            for c2, y in rows.get((v, c), ()):
+                prod[v, r, c2] = prod.get((v, r, c2), _ZERO) + x * y
         return not self._residue(prod)
 
     def is_radical(self, coeffs):
@@ -229,24 +182,6 @@ class EndRing:
     def combo(self, coeffs):
         out = _linear_combination(coeffs, self.basis)
         return identity_morphism(self.module).scale(0) if out is None else out
-
-    def multiplication_table(self):
-        """Structure constants: table[i][j] = coefficients of basis[i] o basis[j]."""
-        k = len(self.basis)
-        flat = QMatrix.from_rows([list(f.flatten()) for f in self.basis],
-                                 ncols=len(self.basis[0].flatten()) if k else 0)
-        flat_t = flat.transpose()
-        table = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                prod = self.basis[i].compose(self.basis[j])
-                coeffs = solve_right(flat_t, list(prod.flatten()))
-                if coeffs is None:
-                    raise AlgebraMismatch("endomorphism basis is not closed under composition")
-                row.append(coeffs)
-            table.append(row)
-        return table
 
 
 def end_ring(m):
@@ -488,16 +423,21 @@ def _candidate_endos(e, rng):
             yield e.combo(coeffs)
 
 
-def split_once(m, _end=None):
-    """One nontrivial splitting m = m1 (+) m2, or None when indecomposable.
+def split_once(m):
+    """One nontrivial splitting m = m1 (+) m2, or None when m is
+    indecomposable: its top or its socle is simple (the socle is computed
+    only when the top is not), or End(m)/rad has dimension 1.
 
-    Raises ExtensionFieldAmbiguity when End(m)/rad has dimension > 1 but no
-    splitting endomorphism could be found: the module is indecomposable over
-    Q yet might split over an extension field.
+    Raises ZeroModuleError on the zero module, and ExtensionFieldAmbiguity
+    when End(m)/rad has dimension > 1 but no splitting endomorphism could be
+    found: the module is indecomposable over Q yet might split over an
+    extension field.
     """
     if m.is_zero():
         raise ZeroModuleError("cannot split the zero module")
-    e = _end if _end is not None else end_ring(m)
+    if sum(top_counts(m)) == 1 or sum(socle_counts(m)) == 1:
+        return None
+    e = end_ring(m)
     if e.semisimple_dim() == 1:
         return None
     rng = random.Random(_SPLIT_SEED)
@@ -514,26 +454,13 @@ def split_once(m, _end=None):
         "m is indecomposable over Q but may split over an extension field")
 
 
-def _has_simple_top_or_socle(m):
-    """True when a nonzero module is local or colocal, hence indecomposable
-    with End(m)/rad = Q; the socle is computed only when the top is not simple."""
-    return sum(top_counts(m)) == 1 or sum(socle_counts(m)) == 1
-
-
 def is_indecomposable(m):
     """True iff End(m) is local with residue field Q.
 
     Raises ZeroModuleError on the zero module and ExtensionFieldAmbiguity when
     End(m)/rad is a division algebra of dimension > 1.
     """
-    if m.is_zero():
-        raise ZeroModuleError("the zero module is not indecomposable")
-    if _has_simple_top_or_socle(m):
-        return True
-    e = end_ring(m)
-    if e.semisimple_dim() == 1:
-        return True
-    return split_once(m, _end=e) is None
+    return split_once(m) is None
 
 
 def krull_schmidt(m):
@@ -544,18 +471,11 @@ def krull_schmidt(m):
     stack = [m]
     while stack:
         x = stack.pop()
-        if _has_simple_top_or_socle(x):
-            out.append(x)
-            continue
-        e = end_ring(x)
-        if e.semisimple_dim() == 1:
-            out.append(x)
-            continue
-        pieces = split_once(x, _end=e)
+        pieces = split_once(x)
         if pieces is None:
-            raise ExtensionFieldAmbiguity(
-                "semisimple quotient of End has dim > 1 on an unsplittable module")
-        stack.extend(pieces)
+            out.append(x)
+        else:
+            stack.extend(pieces)
     assert sum(p.total_dim for p in out) == m.total_dim
     return out
 
@@ -564,22 +484,15 @@ def krull_schmidt(m):
 
 
 def _trace_pairing_nonzero(m, n):
-    fwd = hom_basis(m, n)
+    """True iff tr(g-bar f-bar) != 0 on top(m) for some f: m -> n and
+    g: n -> m, m and n indecomposable (module docstring).  A forward map with
+    zero top pairs to zero with every g, so Hom(n, m) is solved only when
+    some forward top is nonzero."""
+    fwd = [_transpose(x) for x in map(top_map, hom_basis(m, n)) if x]
     if not fwd:
         return False
-    bwd = hom_basis(n, m)
-    if not bwd:
-        return False
-    return any(_pairing_traces(fwd, bwd))
-
-
-def _pairing_traces(fwd, bwd):
-    """tr(g o f) for f in fwd (outer) and g in bwd (inner), lazily."""
-    g_rows = [_entries_by_row(g) for g in bwd]
-    for f in fwd:
-        f_cols = _entries_by_col(f)
-        for g in g_rows:
-            yield _sparse_dot(g, f_cols)
+    bwd = [top_map(g) for g in hom_basis(n, m)]
+    return any(_sparse_dot(g, f) for f in fwd for g in bwd)
 
 
 def is_isomorphic(m, n, check=True):

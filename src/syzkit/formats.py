@@ -243,9 +243,13 @@ def _parse_relations_block(p, quiver):
     return out
 
 
-def parse_algebra(text, length_cap=12):
-    """Parse .alg text and build the presentation."""
+def parse_algebra(text, length_cap=None):
+    """Parse .alg text and build the presentation.  With no length_cap the
+    cap is max(12, number of vertices), enough for every tiled-order residue
+    algebra: its nonzero paths visit each vertex at most once."""
     quiver, relations = parse_algebra_source(text)
+    if length_cap is None:
+        length_cap = max(12, len(quiver.vertices))
     return build_algebra(quiver, relations, length_cap=length_cap)
 
 

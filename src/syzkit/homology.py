@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .decompose import registry_for
 from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
 from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
-                      kernel_module, projective_layout, projective_module,
+                      projective_layout, projective_module, submodule,
                       top_columns, zero_module)
 from .ratmat import QMatrix
 
@@ -32,12 +32,14 @@ DEFAULT_BUDGET = 24
 @dataclass
 class ProjectiveCover:
     """Minimal projective cover: the covering module, its summand vertices
-    (one entry per indecomposable projective copy), and the surjection."""
+    (one entry per indecomposable projective copy), the surjection and its
+    kernel rows, from which the syzygy is built."""
 
     module: RepModule
     summands: tuple        # vertex label per projective copy
     vertex_counts: tuple   # multiplicity of P_v per vertex index
     surjection: ModMorphism
+    kernel: tuple          # per vertex, rows spanning the surjection's kernel
 
 
 def projective_cover(m):
@@ -52,7 +54,7 @@ def projective_cover(m):
         cov = zero_module(m.algebra, m.side)
         surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],
                            validate=False)
-        return ProjectiveCover(cov, (), (0,) * nv, surj)
+        return ProjectiveCover(cov, (), (0,) * nv, surj, (QMatrix.zeros(0, 0),) * nv)
     summands = [quiver.vertices[v] for v, _ in lifts]
     cover, _, _ = direct_sum([projective_module(m.algebra, v, m.side) for v in summands])
     counts = [0] * nv
@@ -72,25 +74,23 @@ def projective_cover(m):
             if not b.names:
                 gen_coords.append((tv, col))
     surj = ModMorphism(cover, m, mats, validate=False)
-    # exactness checks: surjective, and kernel inside J * cover
-    for v in range(nv):
-        if mats[v].rank() != m.dims[v]:
+    # exactness checks on one elimination per vertex: surjective (the rank is
+    # the cover's dimension minus the nullity), and kernel inside J * cover
+    kernel = tuple(mat.kernel_rows() for mat in mats)
+    for v, rows in enumerate(kernel):
+        if cover.dims[v] - rows.nrows != m.dims[v]:
             raise InternalConsistencyError("projective cover fails to surject")
-    for v in range(nv):
-        kr = mats[v].kernel_rows()
-        for (gv, gc) in gen_coords:
-            if gv == v:
-                for i in range(kr.nrows):
-                    if kr.data[i][gc]:
-                        raise InternalConsistencyError(
-                            "cover kernel meets the top: cover not minimal")
-    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj)
+    for gv, gc in gen_coords:
+        if any(row[gc] for row in kernel[gv].data):
+            raise InternalConsistencyError(
+                "cover kernel meets the top: cover not minimal")
+    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj, kernel)
 
 
 def syzygy_with_cover(m):
     """(syzygy module, inclusion into the cover, the cover)."""
     cov = projective_cover(m)
-    syz, incl = kernel_module(cov.surjection)
+    syz, incl = submodule(cov.module, cov.kernel)
     expected = cov.module.total_dim - m.total_dim
     if syz.total_dim != expected:
         raise InternalConsistencyError(

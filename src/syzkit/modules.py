@@ -35,7 +35,8 @@ class RepModule:
     """A finite-dimensional left or right module, given by one exact-rational
     space per vertex and one action matrix per arrow."""
 
-    __slots__ = ("algebra", "side", "dims", "act", "_path_cache", "_radical")
+    __slots__ = ("algebra", "side", "dims", "act", "_path_cache", "_radical",
+                 "_top_reader")
 
     def __init__(self, algebra, side, dims, act, validate=True):
         _check_side(side)
@@ -49,6 +50,7 @@ class RepModule:
         self.act = dict(act)
         self._path_cache = {}
         self._radical = None       # radical_rows, filled on first use
+        self._top_reader = None    # _top_reader, filled on first use
         eng = self.engine_presentation()
         for a in eng.quiver.arrows:
             m = self.act.get(a.name)
@@ -419,14 +421,57 @@ def radical_rows(m):
     return m._radical
 
 
+def _top_reader(m):
+    """Per vertex, (free columns of radical_rows(m), pivot rows): the unit
+    vectors at the free columns represent a basis of the top M/JM, and modulo
+    JM the unit vector at pivot p is e_p - R_p, that is -sum_i R_p[free[i]]
+    times top generator i; a pivot row with a nonzero such term is kept as
+    (p, [(i, R_p[free[i]])]) over those terms.  Computed once per module."""
+    if m._top_reader is None:
+        reader = []
+        for d, rows in zip(m.dims, radical_rows(m)):
+            pivots = pivot_columns(rows)
+            on_pivot = set(pivots)
+            free = [c for c in range(d) if c not in on_pivot]
+            terms = [(p, [(i, row[c]) for i, c in enumerate(free) if row[c]])
+                     for p, row in zip(pivots, rows.data)]
+            reader.append((free, [(p, t) for p, t in terms if t]))
+        m._top_reader = tuple(reader)
+    return m._top_reader
+
+
 def top_columns(m):
     """Per vertex, the free columns of radical_rows(m): the unit vectors there
     are representatives of a basis of the top M/JM."""
-    out = []
-    for d, rows in zip(m.dims, radical_rows(m)):
-        pivots = set(pivot_columns(rows))
-        out.append([c for c in range(d) if c not in pivots])
-    return out
+    return [free for free, _ in _top_reader(m)]
+
+
+def top_map(f):
+    """The map top(m) -> top(n) induced by f: m -> n (f maps Jm into Jn), as
+    {(v, i, j): x}: the coefficient of top generator i of n in the image of
+    top generator j of m, generators as in _top_reader.  f-bar is read on f's
+    columns at the free columns of m, reduced modulo Jn; top_map(g o f) is
+    top_map(g) top_map(f)."""
+    out = {}
+    for v, ((sources, _), (free, pivot_rows)) in enumerate(
+            zip(_top_reader(f.source), _top_reader(f.target))):
+        if not sources or not free:
+            continue
+        cols = list(zip(*f.mats[v].data))
+        for j, c in enumerate(sources):
+            col = cols[c]
+            if col.count(_ZERO) == len(col):    # most columns: scanned in C
+                continue
+            for i, r in enumerate(free):
+                y = col[r]
+                if y is not _ZERO and y:
+                    out[v, i, j] = y
+            for p, terms in pivot_rows:
+                y = col[p]
+                if y is not _ZERO and y:
+                    for i, x in terms:
+                        out[v, i, j] = out.get((v, i, j), _ZERO) - y * x
+    return {q: x for q, x in out.items() if x}
 
 
 def radical_series_rows(m):

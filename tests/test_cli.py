@@ -125,6 +125,23 @@ def test_order_ingest_writes_alg(data_dir, tmp_path):
     assert derived.dim == 36
 
 
+def test_order_ingest_of_fourteen_tiles_reparses(data_dir, tmp_path):
+    """The hereditary order on 14 tiles has J^14 = 0 in its residue algebra,
+    above the default length cap of 12: the written .alg reads back."""
+    from syzkit.formats import parse_algebra, parse_order
+
+    path = _data(data_dir, "hered14.ord")
+    with open(path) as fh:
+        assert parse_order(fh.read()).entries == tuple(
+            tuple(int(i < j) for j in range(14)) for i in range(14))
+    out_alg = tmp_path / "hered14.alg"
+    code, doc = run_command(["order", "ingest", path, "--out-alg", str(out_alg)])
+    assert code == 0
+    assert doc.results["dim"] == 196
+    derived = parse_algebra(out_alg.read_text())
+    assert (derived.dim, derived.nilpotency) == (196, 14)
+
+
 def test_order_gldim_cert(data_dir):
     code, doc = run_command([
         "order", "gldim-cert", _data(data_dir, "ex47.ord"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from syzkit import decompose
-from syzkit.decompose import (_pairing_traces, _trace_pairing_nonzero, end_ring,
+from syzkit.decompose import (_trace_pairing_nonzero, end_ring,
                               factor_over_rationals, is_indecomposable,
                               is_isomorphic, iso_witness, krull_schmidt,
                               minimal_polynomial, modules_isomorphic,
@@ -13,13 +13,13 @@ from syzkit.decompose import (_pairing_traces, _trace_pairing_nonzero, end_ring,
 from syzkit.errors import ExtensionFieldAmbiguity, ZeroModuleError
 from syzkit.formats import parse_algebra
 from syzkit.homology import injective_indecomposables, syzygy
-from syzkit.modules import (ModMorphism, direct_sum, hom_basis,
+from syzkit.modules import (ModMorphism, RepModule, direct_sum, hom_basis,
                             identity_morphism, kernel_module, projective_module,
-                            regular_module, simple_module, top_counts,
-                            zero_module)
+                            radical_rows, regular_module, simple_module,
+                            top_columns, top_counts, top_map, zero_module)
 from syzkit.orders import (presentation_from_valued_quiver,
                            valued_quiver_from_exponents)
-from syzkit.ratmat import QMatrix
+from syzkit.ratmat import QMatrix, solve_right
 from syzkit.repetition import _test_module_side
 
 import cases
@@ -78,17 +78,6 @@ def test_split_direct_sum(ex_five):
     # vertexwise dimensions add up across the split
     assert all(a + b == c for a, b, c in
                zip(pieces[0].dims, pieces[1].dims, total.dims))
-
-
-def test_end_multiplication_table(ex_three_loop):
-    p3 = projective_module(ex_three_loop, "3", "left")
-    e = end_ring(p3)
-    table = e.multiplication_table()
-    # reconstruct a product from the structure constants and compare exactly
-    i, j = 0, e.dim - 1
-    direct = e.basis[i].compose(e.basis[j])
-    recombined = e.combo(table[i][j])
-    assert all(a == b for a, b in zip(direct.flatten(), recombined.flatten()))
 
 
 def test_split_indecomposable_returns_none(ex_five):
@@ -270,10 +259,22 @@ class _GramEndRing:
     combo = decompose.EndRing.combo
 
 
+def _top_product(g_bar, f_bar):
+    """g-bar f-bar for top maps in {(v, i, j): x} form."""
+    out = {}
+    for (v, i, k), x in g_bar.items():
+        for (w, k2, j), y in f_bar.items():
+            if (w, k2) == (v, k):
+                out[v, i, j] = out.get((v, i, j), 0) + x * y
+    return {q: x for q, x in out.items() if x}
+
+
 def test_trace_form_matches_composite_traces():
-    """Every entry of the frozen full-module Gram and every trace pairing,
-    read off by sparse dot products, equals the trace of the composed
-    morphism."""
+    """Every entry of the frozen full-module Gram equals the trace of the
+    composed morphism.  For indecomposables m and n, every trace over
+    top(m) of g-bar f-bar scales to the trace of g o f over m as
+    dim top(m) : dim m, top_map(g o f) = g-bar f-bar, and the registry's
+    test is nonzero iff some composite trace is."""
     pieces = []
     checked = 0
     for mod in _differential_modules():
@@ -290,17 +291,26 @@ def test_trace_form_matches_composite_traces():
         key = (id(piece.algebra), piece.side, piece.dims)
         by_dims.setdefault(key, []).append(piece)
     outcomes = set()
-    uneven = 0
+    uneven = composed = 0
     for group in by_dims.values():
         for m, n in itertools.product(group[:6], repeat=2):
             fwd, bwd = hom_basis(m, n), hom_basis(n, m)
             traces = [g.compose(f).trace() for f in fwd for g in bwd]
-            assert list(_pairing_traces(fwd, bwd)) == traces
+            top_dim = sum(top_counts(m))
+            for f in fwd:
+                for g in bwd:
+                    gf_bar = _top_product(top_map(g), top_map(f))
+                    top_trace = sum(x for (_, i, j), x in gf_bar.items() if i == j)
+                    assert top_trace * m.total_dim == g.compose(f).trace() * top_dim
+                    if m is not n:
+                        assert top_map(g.compose(f)) == gf_bar
+                        composed += 1
             assert _trace_pairing_nonzero(m, n) == any(traces)
             outcomes.add(any(traces))
             uneven += len(fwd) != len(bwd)
     assert outcomes == {False, True}
     assert uneven > 0
+    assert composed > 100
 
 
 # -- frozen reference: the split loop before its shortcuts ---------------------
@@ -564,6 +574,103 @@ def test_top_radical_matches_the_full_module_gram(data_dir, monkeypatch):
     monkeypatch.setattr(decompose, "end_ring", lambda m: _GramEndRing(m, hom_basis(m, m)))
     monkeypatch.setattr(decompose, "_candidate_endos", _reference_pruned_candidates)
     assert got == _registry_ids(groups)
+
+
+def _full_module_pairing(outcomes):
+    """The registry's isomorphism test before it was read on the tops:
+    tr(g o f) over all of m for each f in Hom(m, n) and g in Hom(n, m),
+    every outcome recorded."""
+
+    def nonzero(m, n):
+        fwd = hom_basis(m, n)
+        bwd = hom_basis(n, m) if fwd else []
+        cols = [_reference_entries(f, True) for f in fwd]
+        out = any(_reference_trace(_reference_entries(g, False), c)
+                  for c in cols for g in bwd)
+        outcomes.append(out)
+        return out
+
+    return nonzero
+
+
+def test_top_pairing_matches_the_full_module_pairing(data_dir, monkeypatch):
+    """Registry ids and class dims are those of the frozen full-module trace
+    pairing, over monomial, binomial and tiled-order pools and the syzygies
+    of loc.alg."""
+    groups = list(_top_first_groups(data_dir))
+    got = _registry_ids(groups)
+    outcomes = []
+    monkeypatch.setattr(decompose, "_trace_pairing_nonzero", _full_module_pairing(outcomes))
+    assert got == _registry_ids(groups)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 20
+
+
+def _rebased(rng, m):
+    """m with the basis of each vertex space changed by a random invertible
+    matrix P_v: arrow a: s -> t acts by P_t m_a P_s^-1."""
+    change, inverse = [], []
+    for d in m.dims:
+        p = QMatrix.zeros(d, d)
+        while d and not p.is_invertible():
+            p = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+        change.append(p)
+        inverse.append(p.inverse() if d else p)
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    act = {a.name: change[idx[a.target]] * m.act[a.name] * inverse[idx[a.source]]
+           for a in eng.quiver.arrows}
+    return RepModule(m.algebra, m.side, m.dims, act, validate=False)
+
+
+def test_top_map_reads_each_image_modulo_the_radical():
+    """top_map(f), f: m -> n, against a solve: f(e_c) for each top column c of
+    m, written in the basis of n made of the unit vectors at n's top columns
+    and the echelon rows of Jn, has column j of f-bar as its coefficients on
+    the unit vectors.  n is m rebased, so the rows of Jn have entries at the
+    top columns and the reduction modulo Jn is exercised."""
+    rng = random.Random(0x80)
+    maps = reduced = 0
+    for alg in randgen.algebra_pool(0x81, 4) + randgen.binomial_pool(0x82, 3):
+        for side in ("left", "right"):
+            mods = [projective_module(alg, v, side) for v in alg.quiver.vertices]
+            mods.append(randgen.random_module(rng, alg, side))
+            for m in mods:
+                n = _rebased(rng, m)
+                reads = [(v, sources, free, rad.tolist()) for v, (sources, free, rad)
+                         in enumerate(zip(top_columns(m), top_columns(n), radical_rows(n)))
+                         if sources and free]
+                for f in hom_basis(m, n)[:6]:
+                    want = {}
+                    for v, sources, free, rad in reads:
+                        basis = [[int(r == c) for c in range(n.dims[v])] for r in free]
+                        a = QMatrix.from_rows(basis + rad).transpose()
+                        for j, c in enumerate(sources):
+                            x = solve_right(a, f.mats[v].column(c))
+                            want.update({(v, i, j): x[i] for i in range(len(free)) if x[i]})
+                    assert top_map(f) == want
+                    maps += 1
+                    reduced += any(row[c] for _, _, free, rad in reads
+                                   for row in rad for c in free)
+    assert maps > 100 and reduced > 50
+
+
+def test_top_pairing_traces_the_composite():
+    """Over the Kronecker quiver, M of dims (2, 3) has top M_1, and its copy
+    M' rebased at vertex 1 by P = [[1, 2], [0, 2]] is isomorphic to it.  The
+    pairing on the tops is the trace of P^-1 P = 2, where the entrywise sum
+    of P^-1 and P is 0: the forward top enters transposed."""
+    from syzkit.algebra import Quiver, build_algebra
+
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [])
+    a = QMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    b = QMatrix.from_rows([[0, 0], [1, 0], [0, 1]])
+    p_inv = QMatrix.from_rows([[1, -1], [0, Fraction(1, 2)]])
+    m = RepModule(alg, "left", (2, 3), {"a": a, "b": b})
+    rebased = RepModule(alg, "left", (2, 3), {"a": a * p_inv, "b": b * p_inv})
+    assert sum(top_counts(m)) == 2 and split_once(m) is None
+    assert _trace_pairing_nonzero(m, rebased) and _trace_pairing_nonzero(rebased, m)
+    reg = decompose.IsoClassRegistry(alg, "left")
+    assert reg.register(m) == reg.register(rebased) == 0
 
 
 def _count_calls(monkeypatch, name):
