@@ -387,10 +387,13 @@ def _split_by_endo(m, phi):
 
 
 def _split_by_idempotent(phi):
-    """m = ker(phi - 1) (+) ker(phi) for a non-scalar idempotent phi, built by
-    the same kernel_module calls _split_by_endo makes for x^2 - x."""
-    piece1, _ = kernel_module(_poly_eval_morphism([Frac(-1), Frac(1)], phi))
-    piece2, _ = kernel_module(_poly_eval_morphism([Frac(0), Frac(1)], phi))
+    """m = ker(phi - 1) (+) ker(phi) for a non-scalar idempotent phi: the
+    pieces _split_by_endo gives for x^2 - x, from phi - 1 and phi as they
+    are rather than evaluated by Horner."""
+    m = phi.source
+    shifted = [mat - QMatrix.identity(mat.nrows) for mat in phi.mats]
+    piece1, _ = kernel_module(ModMorphism(m, m, shifted, validate=False))
+    piece2, _ = kernel_module(phi)
     return piece1, piece2
 
 

@@ -8,9 +8,17 @@ module's own summand classes forces summand recurrence in all later degrees
 (the chain argument), certifying infinite projective dimension; a closed
 acyclic graph yields the exact finite value.  pdim, idim and the syzygy
 catalogs of repetition share one explorer of this graph (explore_classes) and
-one recurrence-chain certificate builder (recurrence_chain).  Covers find a
-path's column in a sum of projectives through modules.projective_layout;
-kernels come from ratmat.nullspace.  Ext needs no cochain complex: by
+one recurrence-chain certificate builder (recurrence_chain).
+
+A cover P -> M is kept as data, not as a module: P's coordinates come from
+modules.projective_layout and its arrow action from projective_images (an
+arrow sends the column of (copy r, path p) to c times that of (r, k), where
+a p = c k).  The surjection's columns p . x_r are built along path prefixes,
+one arrow at a time, and each vertex is eliminated once
+(ratmat.kernel_rref) for the reduced echelon basis of the kernel.  The
+syzygy is read off that basis and P's arrow images (modules.span_module),
+with the exact stability check; P and the surjection are built only when a
+caller asks for them.  Ext needs no cochain complex: by
 dimension shift, dim Ext^i(m, n) = dim Hom(Omega^i m, n) - dim Hom(P_{i-1}, n)
 + dim Hom(Omega^{i-1} m, n), each Hom dimension the rank count of the one Hom
 system of modules.
@@ -18,28 +26,76 @@ system of modules.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .decompose import registry_for
-from .errors import InternalConsistencyError, SideMismatch, ZeroModuleError
-from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
-                      projective_layout, projective_module, submodule,
-                      top_columns, zero_module)
-from .ratmat import QMatrix
+from .errors import (BadBudget, InternalConsistencyError, SideMismatch,
+                     ZeroModuleError)
+from .modules import (ModMorphism, RepModule, TensorSpace, hom_dim,
+                      module_from_images, projective_images,
+                      projective_layout, projective_module, span_inclusion,
+                      span_module, top_columns)
+from .ratmat import _ONE, _ZERO, QMatrix, _int_row, kernel_rref
 
 DEFAULT_BUDGET = 24
 
 
 @dataclass
 class ProjectiveCover:
-    """Minimal projective cover: the covering module, its summand vertices
-    (one entry per indecomposable projective copy), the surjection and its
-    kernel rows, from which the syzygy is built."""
+    """Minimal projective cover P -> target, kept as the data its syzygy
+    needs; the module P and the surjection are built on first access only.
 
-    module: RepModule
+    dims and images are P's vertex dimensions and arrow action in
+    projective_layout coordinates (see modules.projective_images)."""
+
+    target: RepModule
     summands: tuple        # vertex label per projective copy
     vertex_counts: tuple   # multiplicity of P_v per vertex index
-    surjection: ModMorphism
-    kernel: tuple          # per vertex, rows spanning the surjection's kernel
+    dims: tuple
+    images: dict
+    columns: list          # per vertex, per column: p . x_r as {row: x}
+    kernel: tuple          # per vertex, the kernel's RREF [(pivot, {col: x})]
+
+    @cached_property
+    def module(self):
+        return module_from_images(self.target.algebra, self.target.side,
+                                 self.dims, self.images)
+
+    @cached_property
+    def surjection(self):
+        return ModMorphism(self.module, self.target,
+                           [QMatrix.from_column_entries(d, [y.items() for y in cols])
+                            for d, cols in zip(self.target.dims, self.columns)],
+                           validate=False)
+
+    def syzygy(self):
+        """The kernel of the surjection, in the coordinates of its reduced
+        echelon basis; arrow matrices read off P's arrow images."""
+        return span_module(self.target.algebra, self.target.side,
+                           self.kernel, self.images)
+
+
+def _lift_images(eng, c, entries, act_columns):
+    """p . x for the unit vector x at column c of the copy's top vertex and
+    every basis path p of its layout entries, as {(target index, column):
+    {row: x}}: each image is the last arrow of p applied to the image of
+    p's prefix (act_columns: the module's arrow matrices as column
+    nonzeros), so no path matrix is formed."""
+    seen = {(): {c: _ONE}}
+    out = {}
+    for i, tv, col in entries:
+        names = eng.basis[i].names
+        for k in range(1, len(names) + 1):
+            if names[:k] in seen:
+                continue
+            cols = act_columns[names[k - 1]]
+            y = {}
+            for j, xj in seen[names[:k - 1]].items():
+                for r, w in cols[j]:
+                    y[r] = y.get(r, _ZERO) + xj * w
+            seen[names[:k]] = {r: x for r, x in y.items() if x}
+        out[tv, col] = seen[names]
+    return out
 
 
 def projective_cover(m):
@@ -50,58 +106,48 @@ def projective_cover(m):
     # top representatives: the unit vectors of M_v at the free columns of
     # the radical's row space, kept as (vertex_index, column)
     lifts = [(v, c) for v, free in enumerate(top_columns(m)) for c in free]
-    if not lifts:
-        cov = zero_module(m.algebra, m.side)
-        surj = ModMorphism(cov, m, [QMatrix.zeros(m.dims[v], 0) for v in range(nv)],
-                           validate=False)
-        return ProjectiveCover(cov, (), (0,) * nv, surj, (QMatrix.zeros(0, 0),) * nv)
-    summands = [quiver.vertices[v] for v, _ in lifts]
-    cover, _, _ = direct_sum([projective_module(m.algebra, v, m.side) for v in summands])
+    summands = tuple(quiver.vertices[v] for v, _ in lifts)
     counts = [0] * nv
     for v, _ in lifts:
         counts[v] += 1
-    # assemble the surjection: basis element (copy r, path p) maps to p . x_r
-    mats = [QMatrix.zeros(m.dims[v], cover.dims[v]) for v in range(nv)]
-    gen_coords = []
-    for (v, c), entries in zip(lifts, projective_layout(eng, summands)):
-        for i, tv, col in entries:
-            b = eng.basis[i]
-            # p . x_r is column c of p's action matrix
-            path_rows = m.path_action(quiver.vertices[v], b.names).data
-            for i_row, row in enumerate(path_rows):
-                if row[c]:
-                    mats[tv].data[i_row][col] = row[c]
-            if not b.names:
-                gen_coords.append((tv, col))
-    surj = ModMorphism(cover, m, mats, validate=False)
+    layout = projective_layout(eng, summands)
+    dims, images = projective_images(eng, layout)
+    # the surjection: basis element (copy r, path p) maps to p . x_r
+    columns = [[None] * d for d in dims]
+    act_columns = {name: mat.column_entries() for name, mat in m.act.items()}
+    for (_, c), entries in zip(lifts, layout):
+        for (tv, col), y in _lift_images(eng, c, entries, act_columns).items():
+            columns[tv][col] = y
     # exactness checks on one elimination per vertex: surjective (the rank is
     # the cover's dimension minus the nullity), and kernel inside J * cover
-    kernel = tuple(mat.kernel_rows() for mat in mats)
-    for v, rows in enumerate(kernel):
-        if cover.dims[v] - rows.nrows != m.dims[v]:
+    kernel = []
+    for t, cols in enumerate(columns):
+        rows = [{} for _ in range(m.dims[t])]
+        for col, y in enumerate(cols):
+            for r, x in y.items():
+                rows[r][col] = x
+        basis = kernel_rref([_int_row(r) for r in rows], dims[t])
+        if dims[t] - len(basis) != m.dims[t]:
             raise InternalConsistencyError("projective cover fails to surject")
-    for gv, gc in gen_coords:
-        if any(row[gc] for row in kernel[gv].data):
+        kernel.append(basis)
+    for i, gv, gc in (e for entries in layout for e in entries):
+        if not eng.basis[i].names and any(gc in row for _, row in kernel[gv]):
             raise InternalConsistencyError(
                 "cover kernel meets the top: cover not minimal")
-    return ProjectiveCover(cover, tuple(summands), tuple(counts), surj, kernel)
+    return ProjectiveCover(m, summands, tuple(counts), tuple(dims), images,
+                           columns, tuple(kernel))
 
 
 def syzygy_with_cover(m):
     """(syzygy module, inclusion into the cover, the cover)."""
     cov = projective_cover(m)
-    syz, incl = submodule(cov.module, cov.kernel)
-    expected = cov.module.total_dim - m.total_dim
-    if syz.total_dim != expected:
-        raise InternalConsistencyError(
-            f"syzygy dimension {syz.total_dim} != cover {cov.module.total_dim} "
-            f"minus module {m.total_dim}")
-    return syz, incl, cov
+    syz = cov.syzygy()
+    return syz, span_inclusion(syz, cov.module, cov.kernel), cov
 
 
 def syzygy(m):
     """First syzygy: kernel of the minimal projective cover."""
-    return syzygy_with_cover(m)[0]
+    return projective_cover(m).syzygy()
 
 
 @dataclass
@@ -138,8 +184,12 @@ def resolve(m, max_degree, classify=True):
     truncated run (budget exhaustion is a normal outcome).  Past degree one
     the multisets are propagated through the cached per-class first syzygies
     (minimal syzygies are additive over direct summands), so only small class
-    representatives are ever decomposed.
+    representatives are ever decomposed.  A negative max_degree raises
+    BadBudget; 0 gives an empty record list, completed only for the zero
+    module.
     """
+    if max_degree < 0:
+        raise BadBudget("budget must be >= 0")
     registry = registry_for(m.algebra, m.side) if classify else None
     records = []
     current = m
@@ -149,7 +199,8 @@ def resolve(m, max_degree, classify=True):
         if current.is_zero():
             completed = True
             break
-        syz, _, cov = syzygy_with_cover(current)
+        cov = projective_cover(current)
+        syz = cov.syzygy()
         classes = None
         if classify:
             if prev_classes is None:
@@ -322,8 +373,12 @@ def pdim(m, budget=DEFAULT_BUDGET):
     finite(d): the minimal resolution stops, d = last degree with a nonzero
     syzygy.  infinite: a chain of indecomposables, each a first-syzygy summand
     of the previous, revisits a class; the certificate lists the chain and the
-    repeated positions.  unknown: neither outcome within budget.
+    repeated positions.  unknown: neither outcome within budget (always the
+    case at budget 0 unless m is projective).  A negative budget raises
+    BadBudget.
     """
+    if budget < 0:
+        raise BadBudget("budget must be >= 0")
     if m.is_zero():
         raise ZeroModuleError("projective dimension of the zero module is undefined here")
     registry = registry_for(m.algebra, m.side)

@@ -6,19 +6,22 @@ s to the space at t.  A right module stores the matrix the other way around
 (space at t to space at s); that is exactly a left module over the opposite
 presentation, so every algorithm below works on the "engine" view: the
 module's matrices read against engine_presentation() = algebra (left) or
-algebra.opposite() (right).  Null spaces (Hom systems, quotients, kernels) are
-read off by ratmat.nullspace; the coordinates of a sum of projectives are laid
-out once, by projective_layout.  One linear system, _hom_equations, serves Hom
-and tensor products alike: the bilinearity relations of a (x) m are the Hom
-equations of (m, Da), since D(a (x)_Lambda m) = Hom_Lambda(m, Da).
+algebra.opposite() (right).  Null spaces (Hom systems, quotients) are read
+off by ratmat.nullspace, and a kernel module's basis by ratmat.kernel_rref;
+every submodule is built by span_module from a reduced echelon basis.  The
+coordinates of a sum of projectives are laid out once, by projective_layout,
+and its arrow action listed by projective_images.  One linear system,
+_hom_equations, serves Hom and tensor products alike: the bilinearity
+relations of a (x) m are the Hom equations of (m, Da), since
+D(a (x)_Lambda m) = Hom_Lambda(m, Da).
 """
 
 from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import (_ZERO, QMatrix, _int_row, echelon_from_rows, nullspace,
-                     pivot_columns, stack_rows)
+from .ratmat import (_ZERO, QMatrix, _int_row, echelon_from_rows, kernel_rref,
+                     nullspace, pivot_columns, stack_rows)
 
 Frac = Fraction
 
@@ -225,33 +228,49 @@ def projective_layout(eng, vertices):
     return layout
 
 
+def projective_images(eng, layout):
+    """Dims and arrow action of the sum of projectives laid out by
+    projective_layout: (dims, images), images[name][col] the nonzeros
+    [(col', x)] of the image of source column col under the arrow.  An arrow
+    a sends the column of (copy r, basis path p) to x times the column of
+    (r, k), where a * p = x k; so each list has at most one entry."""
+    quiver = eng.quiver
+    idx = quiver.index
+    dims = [0] * len(quiver.vertices)
+    for entries in layout:
+        for _, tv, _ in entries:
+            dims[tv] += 1
+    images = {a.name: [[] for _ in range(dims[idx[a.source]])] for a in quiver.arrows}
+    for entries in layout:
+        column = {i: col for i, _, col in entries}
+        for i, tv, col in entries:
+            for a in quiver.arrows_from[quiver.vertices[tv]]:
+                prod = eng.mul(eng.arrow_basis[a.name], i)
+                if prod is not None:
+                    x, k = prod
+                    images[a.name][col].append((column[k], x))
+    return dims, images
+
+
+def module_from_images(algebra, side, dims, images):
+    """The module with the given dims whose arrow matrices have the given
+    column nonzeros (as projective_images and QMatrix.column_entries list
+    them)."""
+    eng = algebra if side == LEFT else algebra.opposite()
+    act = {a.name: QMatrix.from_column_entries(dims[eng.quiver.index[a.target]],
+                                               images[a.name])
+           for a in eng.quiver.arrows}
+    return RepModule(algebra, side, dims, act, validate=False)
+
+
 def projective_module(algebra, vertex, side):
     """The indecomposable projective with top at the given vertex."""
     _check_side(side)
     eng = algebra if side == LEFT else algebra.opposite()
     if vertex not in eng.quiver.index:
         raise IllFormedRelation(f"unknown vertex {vertex!r}")
-    entries = projective_layout(eng, [vertex])[0]
-    dims = [0] * len(eng.quiver.vertices)
-    column = {}
-    for i, tv, col in entries:
-        dims[tv] += 1
-        column[i] = col
-    act = {}
-    for a in eng.quiver.arrows:
-        s, t = eng.quiver.index[a.source], eng.quiver.index[a.target]
-        mat = QMatrix.zeros(dims[t], dims[s])
-        ai = eng.arrow_basis[a.name]
-        for i, tv, col in entries:
-            if tv != s:
-                continue
-            prod = eng.mul(ai, i)
-            if prod is None:
-                continue
-            c, k = prod
-            mat.data[column[k]][col] = c
-        act[a.name] = mat
-    return RepModule(algebra, side, dims, act, validate=False)
+    dims, images = projective_images(eng, projective_layout(eng, [vertex]))
+    return module_from_images(algebra, side, dims, images)
 
 
 def simple_module(algebra, vertex, side):
@@ -316,48 +335,74 @@ def direct_sum(mods):
     return total, incls, projs
 
 
+def span_module(algebra, side, bases, images):
+    """The submodule spanned at each vertex by a reduced echelon basis, in
+    the coordinates of that basis.
+
+    bases[v]: [(pivot, {col: x})] as Echelon.rref_rows() gives it, pivot
+    entry 1; images[name][col]: the nonzeros [(col', x)] of the ambient
+    image of column col under the arrow.  A vector y of the span has
+    coordinate y[p] along the row with pivot p, and y lies in the span iff
+    y - sum_p y[p] row_p (zero at every pivot by construction) is zero at
+    the free columns too; every arrow image of a basis row is checked, and
+    IllFormedRelation is raised when one leaves the span.
+    """
+    eng = algebra if side == LEFT else algebra.opposite()
+    idx = eng.quiver.index
+    dims = [len(b) for b in bases]
+    rows = [dict(b) for b in bases]
+    positions = [{p: j for j, (p, _) in enumerate(b)} for b in bases]
+    act = {}
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        cols, position = images[a.name], positions[t]
+        coords = [[_ZERO] * dims[s] for _ in range(dims[t])]
+        for i, (_, y) in enumerate(bases[s]):
+            z = {}
+            for c, x in y.items():
+                for r, w in cols[c]:
+                    z[r] = z.get(r, _ZERO) + x * w
+            for p in [p for p in z if p in position]:
+                zp = z[p]
+                if zp:
+                    coords[position[p]][i] = zp
+                    for c, x in rows[t][p].items():
+                        z[c] = z.get(c, _ZERO) - zp * x
+            if any(z.values()):
+                raise IllFormedRelation(
+                    f"subspaces not stable under arrow {a.name!r}")
+        act[a.name] = QMatrix._of(dims[t], dims[s], coords)
+    return RepModule(algebra, side, dims, act, validate=False)
+
+
+def span_inclusion(sub, ambient, bases):
+    """The inclusion of span_module(..., bases, ...) into its ambient module:
+    per vertex, the basis rows as columns."""
+    return ModMorphism(sub, ambient,
+                       [QMatrix.from_column_entries(d, [row.items() for _, row in b])
+                        for d, b in zip(ambient.dims, bases)], validate=False)
+
+
+def _span_in(m, bases):
+    """(span_module of bases inside m, its inclusion)."""
+    images = {name: mat.column_entries() for name, mat in m.act.items()}
+    sub = span_module(m.algebra, m.side, bases, images)
+    return sub, span_inclusion(sub, m, bases)
+
+
 def submodule(m, vertex_rows):
     """Submodule spanned by the given per-vertex row spaces (must be stable).
 
     vertex_rows: list of QMatrix whose rows span the subspace at each vertex.
-    Returns (sub_module, inclusion).  Each basis is the reduced echelon basis
-    of its row space, so a vector y of the span has coordinate y[p] along the
-    row with pivot p; y lies in the span iff y = sum_p y[p] row_p holds at the
-    free columns as well (it holds at the pivots by construction).
+    Returns (sub_module, inclusion); each basis is the reduced echelon basis
+    of its row space (see span_module).
     """
-    eng = m.engine_presentation()
-    idx = eng.quiver.index
     bases = []
     for v, rows in enumerate(vertex_rows):
         if rows.ncols != m.dims[v]:
             raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
-        bases.append(rows.row_space())
-    dims = [b.nrows for b in bases]
-    pivots = [pivot_columns(b) for b in bases]
-    # per vertex and free column c: the nonzero (row index, row[c]) of the basis
-    frees = []
-    for b, piv in zip(bases, pivots):
-        on_pivot = set(piv)
-        frees.append([(c, [(r, row[c]) for r, row in enumerate(b.data) if row[c]])
-                      for c in range(b.ncols) if c not in on_pivot])
-    act = {}
-    for a in eng.quiver.arrows:
-        s, t = idx[a.source], idx[a.target]
-        img = m.act[a.name] * bases[s].transpose()  # ambient t-space columns
-        coords = [img.data[p] for p in pivots[t]]
-        for c, col in frees[t]:
-            residual = list(img.data[c])
-            for r, x in col:
-                for j, y in enumerate(coords[r]):
-                    if y:
-                        residual[j] -= x * y
-            if any(residual):
-                raise IllFormedRelation(
-                    f"subspaces not stable under arrow {a.name!r}")
-        act[a.name] = QMatrix._of(dims[t], dims[s], coords)
-    sub = RepModule(m.algebra, m.side, dims, act, validate=False)
-    incl = ModMorphism(sub, m, [b.transpose() for b in bases], validate=False)
-    return sub, incl
+        bases.append(echelon_from_rows(rows._int_rows()).rref_rows())
+    return _span_in(m, bases)
 
 
 def quotient_module(m, vertex_rows):
@@ -390,9 +435,11 @@ def quotient_module(m, vertex_rows):
 
 
 def kernel_module(f):
-    """Kernel of a morphism as a submodule of its source; returns (ker, inclusion)."""
-    rows = [f.mats[v].kernel_rows() for v in range(len(f.source.dims))]
-    return submodule(f.source, rows)
+    """Kernel of a morphism as a submodule of its source; returns (ker,
+    inclusion).  One elimination per vertex: the kernel's reduced echelon
+    basis is read off directly (ratmat.kernel_rref)."""
+    return _span_in(f.source, [kernel_rref(mat._int_rows(), mat.ncols)
+                               for mat in f.mats])
 
 
 # -- radical structure --------------------------------------------------------
@@ -566,10 +613,8 @@ def _hom_equations(m, n):
     rows = []
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
-        ma = m.act[a.name].data
         # nonzeros of m_a by column and of n_a by row, listed once per arrow
-        ma_cols = [[(j, row[k]) for j, row in enumerate(ma) if row[k]]
-                   for k in range(m.dims[s])]
+        ma_cols = m.act[a.name].column_entries()
         na_rows = [[(j, x) for j, x in enumerate(row) if x]
                    for row in n.act[a.name].data]
         wt, ws = m.dims[t], m.dims[s]

@@ -153,6 +153,27 @@ def nullspace(int_rows, ncols):
     return free, list(vectors.values())
 
 
+def kernel_rref(int_rows, ncols):
+    """Reduced echelon basis of {x : row . x = 0 for every row}, in the form
+    of Echelon.rref_rows(): (pivot, {col: Fraction}) by ascending pivot.
+
+    One elimination: the null-space read-off of the rows with their columns
+    reversed, mapped back.  There the vector of free column f has 1 at f and
+    its other entries at pivot columns below f; mapped back, column
+    ncols - 1 - f leads it with entry 1 and every other vector is zero
+    there, so the vectors form the (unique) RREF."""
+    last = ncols - 1
+    rref = echelon_from_rows({last - c: v for c, v in r.items()}
+                             for r in int_rows).rref_rows()
+    pivs = {c for c, _ in rref}
+    vectors = {f: {last - f: _ONE} for f in range(ncols) if f not in pivs}
+    for c, r in rref:
+        for f, val in r.items():
+            if f != c:
+                vectors[f][last - c] = -val
+    return [(last - f, vectors[f]) for f in sorted(vectors, reverse=True)]
+
+
 class QMatrix:
     """Dense matrix over the rationals with exact arithmetic."""
 
@@ -193,6 +214,22 @@ class QMatrix:
     @staticmethod
     def zeros(nrows, ncols):
         return QMatrix(nrows, ncols)
+
+    @staticmethod
+    def from_column_entries(nrows, columns):
+        """The matrix with the given nonzeros [(row, x)] in each column."""
+        m = QMatrix(nrows, len(columns))
+        for col, entries in enumerate(columns):
+            for row, x in entries:
+                m.data[row][col] = x
+        return m
+
+    def column_entries(self):
+        """The nonzeros [(row, x)] of each column."""
+        if not self.nrows:
+            return [[] for _ in range(self.ncols)]
+        return [[(i, x) for i, x in enumerate(col) if x is not _ZERO and x]
+                for col in zip(*self.data)]
 
     @staticmethod
     def identity(n):

@@ -176,6 +176,30 @@ def test_catalog_commands_reject_zero_budget(argv, data_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["pdim", "--algebra", "{d}/ex23d.alg", "--module", "simple:1", "--budget", "-3"],
+    ["resolve", "--algebra", "{d}/ex23d.alg", "--module", "{d}/s1.mod", "--budget", "-1"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_an_error(argv, data_dir, capsys):
+    code, doc = run_command([a.format(d=data_dir) for a in argv])
+    assert (code, doc) == (1, None)
+    assert capsys.readouterr().err == "error: budget must be >= 0\n"
+
+
+def test_negative_budget_api_raises_and_zero_stays_open(ex_three_loop):
+    from syzkit.errors import BadBudget
+    from syzkit.homology import pdim, resolve
+    from syzkit.modules import simple_module
+
+    s = simple_module(ex_three_loop, "1", "left")
+    for call in (lambda: pdim(s, -1), lambda: resolve(s, -1)):
+        with pytest.raises(BadBudget, match="budget must be >= 0"):
+            call()
+    assert pdim(s, 0).describe() == "unknown(>= budget 0)"
+    trace = resolve(s, 0)
+    assert trace.records == [] and not trace.completed
+
 @pytest.mark.parametrize("argv", [
     ["pdim", "--algebra", "{d}/ex23d.alg", "--module", "simple:zz"],
     ["decompose", "--algebra", "{d}/ex33.alg", "--module", "simple:zz"],

@@ -322,3 +322,177 @@ def test_ext_by_dimension_shift_matches_cochains():
                     higher += any(want[1:])
     assert pairs >= 300
     assert higher >= 100   # the shift terms matter on a good share of pairs
+
+
+def _frozen_submodule(m, vertex_rows):
+    """The submodule builder the syzygies had before the echelon read-off:
+    dense row_space bases, each arrow's image as a dense product, the
+    coordinates read at the target's pivots."""
+    from syzkit.modules import RepModule
+    from syzkit.ratmat import QMatrix, pivot_columns
+
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    bases = [rows.row_space() for rows in vertex_rows]
+    dims = [b.nrows for b in bases]
+    act = {}
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        img = m.act[a.name] * bases[s].transpose()
+        coords = QMatrix(dims[t], dims[s], [img.data[p] for p in pivot_columns(bases[t])])
+        assert bases[t].transpose() * coords == img
+        act[a.name] = coords
+    return RepModule(m.algebra, m.side, dims, act, validate=False)
+
+
+def _frozen_syzygy(m):
+    """The dense cover builder: the direct sum of freshly built projectives,
+    the surjection read off full path matrices, its null-space rows and the
+    submodule they span.  Returns (syzygy, summands, vertex_counts, cover,
+    surjection matrices)."""
+    from syzkit.modules import projective_layout, top_columns, zero_module
+    from syzkit.ratmat import QMatrix
+
+    eng = m.engine_presentation()
+    quiver = eng.quiver
+    nv = len(quiver.vertices)
+    lifts = [(v, c) for v, free in enumerate(top_columns(m)) for c in free]
+    summands = tuple(quiver.vertices[v] for v, _ in lifts)
+    counts = tuple(sum(1 for v, _ in lifts if v == w) for w in range(nv))
+    if not lifts:
+        zero = zero_module(m.algebra, m.side)
+        return zero, summands, counts, zero, [QMatrix.zeros(d, 0) for d in m.dims]
+    cover, _, _ = direct_sum([projective_module(m.algebra, v, m.side) for v in summands])
+    mats = [QMatrix.zeros(m.dims[v], cover.dims[v]) for v in range(nv)]
+    for (v, c), entries in zip(lifts, projective_layout(eng, summands)):
+        for i, tv, col in entries:
+            action = m.path_action(quiver.vertices[v], eng.basis[i].names)
+            for r in range(m.dims[tv]):
+                mats[tv].data[r][col] = action.data[r][c]
+    syz = _frozen_submodule(cover, [mat.kernel_rows() for mat in mats])
+    return syz, summands, counts, cover, mats
+
+
+def _syzygy_chains(data_dir):
+    """(module, depth) starts over seeded monomial, binomial and tiled-order
+    pools, both sides: each simple and one random module, followed to depth 3;
+    and the simple of the local algebra loc.alg, followed to degree 10."""
+    import random
+
+    import randgen
+    from syzkit.formats import parse_algebra
+    from syzkit.orders import (presentation_from_valued_quiver,
+                               valued_quiver_from_exponents)
+
+    algebras = randgen.algebra_pool(0xC0, 5) + randgen.binomial_pool(0xC1, 4)
+    algebras += [presentation_from_valued_quiver(valued_quiver_from_exponents(lam))
+                 for lam in randgen.tiled_order_pool(0xC2, 4)]
+    rng = random.Random(0xC3)
+    for alg in algebras:
+        for side in ("left", "right"):
+            for v in alg.quiver.vertices:
+                yield simple_module(alg, v, side), 3
+            yield randgen.random_module(rng, alg, side), 3
+    with open(f"{data_dir}/loc.alg") as fh:
+        loc = parse_algebra(fh.read())
+    yield simple_module(loc, loc.quiver.vertices[0], "left"), 10
+
+
+def test_syzygy_matches_the_frozen_dense_cover_builder(data_dir):
+    """Syzygies built in echelon coordinates from the cover's arrow images
+    are the modules the dense cover builder gave: the same dims, arrow
+    matrices, summands and vertex counts, degree after degree."""
+    compared = 0
+    for m, depth in _syzygy_chains(data_dir):
+        for _ in range(depth):
+            if m.is_zero():
+                break
+            want, summands, counts, _, _ = _frozen_syzygy(m)
+            cov = projective_cover(m)
+            syz = cov.syzygy()
+            assert (cov.summands, cov.vertex_counts) == (summands, counts)
+            assert syz.dims == want.dims and syz.act == want.act
+            compared += 1
+            m = syz
+    assert compared >= 200
+
+
+def test_lazy_cover_module_and_surjection_equal_the_eager_ones(data_dir):
+    """cov.module and cov.surjection, built on first access, equal the dense
+    direct sum of projectives and the surjection read off path matrices; the
+    inclusion of syzygy_with_cover lands in the kernel."""
+    checked = 0
+    for m, depth in _syzygy_chains(data_dir):
+        for _ in range(min(depth, 2)):
+            if m.is_zero():
+                break
+            _, _, _, cover, mats = _frozen_syzygy(m)
+            syz, incl, cov = syzygy_with_cover(m)
+            assert cov.module.dims == cover.dims and cov.module.act == cover.act
+            assert cov.surjection.mats == mats
+            assert cov.surjection.source is cov.module and cov.surjection.target is m
+            cov.surjection.verify()
+            assert incl.target is cov.module
+            assert all((s * i).is_zero() for s, i in zip(cov.surjection.mats, incl.mats))
+            checked += 1
+            m = syz
+    assert checked >= 100
+
+
+def test_mutated_kernel_row_fails_the_stability_check():
+    """A kernel basis with one row moved off the kernel (an entry added at a
+    free column) spans a submodule of the cover only when a dense solve says
+    so; otherwise cover.syzygy() raises the stability check."""
+    import random
+
+    import pytest
+    import randgen
+    from syzkit.errors import IllFormedRelation
+    from syzkit.ratmat import QMatrix, solve_columns
+
+    def spans_a_submodule(cov):
+        dense = [QMatrix.from_rows([[r.get(c, 0) for c in range(d)] for _, r in b],
+                                   ncols=d).transpose()
+                 for b, d in zip(cov.kernel, cov.dims)]
+        eng = cov.module.engine_presentation()
+        idx = eng.quiver.index
+        return all(solve_columns(dense[idx[a.target]],
+                                 cov.module.act[a.name] * dense[idx[a.source]])
+                   is not None for a in eng.quiver.arrows)
+
+    rng = random.Random(0xC4)
+    modules = []
+    for alg in randgen.algebra_pool(0xC5, 5) + randgen.binomial_pool(0xC6, 4):
+        for side in ("left", "right"):
+            for v in alg.quiver.vertices:
+                s = simple_module(alg, v, side)
+                modules += [s, syzygy(s)]
+    raised = kept = 0
+    for m in modules:
+        if m.is_zero():
+            continue
+        cov = projective_cover(m)
+        kernel = cov.kernel
+        for s, basis in enumerate(kernel):
+            pivots = {p for p, _ in basis}
+            free = [c for c in range(cov.dims[s]) if c not in pivots]
+            if not basis or not free:
+                continue
+            j = rng.randrange(len(basis))
+            pivot, row = basis[j]
+            row = dict(row)
+            f = rng.choice(free)
+            row[f] = row.get(f, 0) + rng.choice([-2, -1, 1, 2])
+            row = {c: x for c, x in row.items() if x}
+            mutated = list(kernel)
+            mutated[s] = basis[:j] + [(pivot, row)] + basis[j + 1:]
+            cov.kernel = tuple(mutated)
+            if spans_a_submodule(cov):
+                cov.syzygy()
+                kept += 1
+            else:
+                with pytest.raises(IllFormedRelation, match="not stable"):
+                    cov.syzygy()
+                raised += 1
+            cov.kernel = kernel
+    assert raised >= 40 and kept >= 10

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from syzkit.errors import DimensionMismatch
-from syzkit.ratmat import (Echelon, QMatrix, _combine, _int_row, nullspace,
-                           rowspace_contains, solve_columns, solve_right)
+from syzkit.ratmat import (Echelon, QMatrix, _combine, _int_row, kernel_rref,
+                           nullspace, pivot_columns, rowspace_contains,
+                           solve_columns, solve_right)
 
 
 def test_rank_identity_and_zero():
@@ -251,3 +252,44 @@ def test_echelon_matches_dense_probe_reference(kind):
         assert new.rref_rows() == old.rref_rows()
         deficient += new.rank < len(rows)
     assert deficient >= 100
+
+
+def test_kernel_rref_is_the_row_space_of_the_null_space():
+    """kernel_rref gives, in one elimination, the reduced echelon basis that
+    kernel_rows() followed by row_space() gives in two: on seeded random
+    matrices of every shape class (zero, full rank, no columns, no rows,
+    wide, tall, sparse and dense)."""
+    rng = random.Random(0x4E5)
+    shapes = ["zero", "full", "nocols", "norows", "wide", "tall", "sparse", "dense"]
+    seen = set()
+    for k in range(240):
+        kind = shapes[k % len(shapes)]
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        if kind == "zero":
+            a = QMatrix.zeros(r, c)
+        elif kind == "full":
+            a = _random_matrix(rng, c, c)
+            while a.rank() < c:
+                a = _random_matrix(rng, c, c)
+        elif kind == "nocols":
+            a = QMatrix.zeros(r, 0)
+        elif kind == "norows":
+            a = QMatrix.zeros(0, c)
+        elif kind == "wide":
+            a = _random_matrix(rng, r, r + rng.randint(1, 5))
+        elif kind == "tall":
+            a = _random_matrix(rng, c + rng.randint(1, 5), c)
+        elif kind == "sparse":
+            entries = [0, 0, 0, 1, -1, Fraction(1, 2)]
+            a = QMatrix(r, c, [[rng.choice(entries) for _ in range(c)] for _ in range(r)])
+        else:
+            a = QMatrix(r, c, [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for _ in range(c)] for _ in range(r)])
+        want = a.kernel_rows().row_space()
+        got = kernel_rref(a._int_rows(), a.ncols)
+        assert [p for p, _ in got] == pivot_columns(want)
+        dense = [[row.get(j, 0) for j in range(a.ncols)] for _, row in got]
+        assert dense == want.data
+        assert all(type(x) is Fraction and x for _, row in got for x in row.values())
+        seen.add((kind, bool(got), len(got) == a.ncols))
+    assert len(seen) >= 10
