@@ -33,8 +33,9 @@ algebras, 2007.)
 
 split_once makes the one split decision (krull_schmidt and
 is_indecomposable call it) and takes three exact shortcuts before the
-general path (minimal polynomial of a candidate endomorphism, factored over
-Q by sympy):
+general path: the minimal polynomial of a candidate endomorphism, read off
+one elimination over its tagged powers (minimal_polynomial), factored over
+Q by sympy, and m split along two coprime factors.
 
 * A module with a simple top or a simple socle is indecomposable without an
   End ring: End(m) -> End(top m) = Q (or End(soc m) = Q) is onto, and its
@@ -60,8 +61,7 @@ from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
                      WitnessSearchExhausted, ZeroModuleError)
 from .modules import (ModMorphism, hom_basis, identity_morphism, kernel_module,
                       socle_counts, top_counts, top_map)
-from .ratmat import (Echelon, QMatrix, _ZERO, _int_row, echelon_from_rows, nullspace,
-                     solve_right)
+from .ratmat import Echelon, QMatrix, _ZERO, _int_row, echelon_from_rows, nullspace
 
 Frac = Fraction
 
@@ -196,118 +196,42 @@ def radical_of_end(e):
 # -- minimal polynomials and factoring ----------------------------------------
 
 
-def _poly_normalize(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 def _poly_mul(p, q):
-    out = [Frac(0)] * (len(p) + len(q) - 1) if p and q else []
+    """Product of two nonzero polynomials (low-to-high coefficients)."""
+    out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _poly_normalize(out)
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def minimal_polynomial(phi):
-    """Monic minimal polynomial (low-to-high coefficients) of an endomorphism."""
+    """Monic minimal polynomial (low-to-high coefficients) of an endomorphism.
+
+    One elimination over the powers phi^0, phi^1, ...: power k, its entries
+    flattened vertex-major and row-major, is one row with a tag -1 at column
+    width + k.  The first power whose entry columns reduce to zero is a
+    combination of the lower ones, and its reduced row carries that monic
+    dependency, scaled, in the tag columns (the augmented-column idiom of
+    ratmat.solve_columns).  The zero module gives [1] at k = 0."""
     mats = phi.mats
-    dims = phi.source.dims
-    total = sum(dims)
-    if total == 0:
-        return [Frac(1)]
-
-    def apply(vec_blocks):
-        return [m.apply(v) for m, v in zip(mats, vec_blocks)]
-
-    def flat(vec_blocks):
-        out = []
-        for v in vec_blocks:
-            out.extend(v)
-        return out
-
-    result = [Frac(1)]  # polynomial "1"
-    global_ech = Echelon()  # span of every iterate seen so far
-    covered = 0
-    for start in range(total):
-        if covered == total:
-            break
-        probe = _int_row({start: 1})
-        if not global_ech.reduce(dict(probe)):
-            continue  # start vector already in the accumulated Krylov span
-        blocks = []
-        pos = start
-        for d in dims:
-            b = [Frac(0)] * d
-            if 0 <= pos < d:
-                b[pos] = Frac(1)
-            blocks.append(b)
-            pos -= d
-        local_ech = Echelon()
-        local_rows = []
-        vec = blocks
-        while True:
-            f = flat(vec)
-            row = _int_row({i: x for i, x in enumerate(f) if x})
-            local_rows.append(f)
-            if not local_ech.insert(dict(row)):
-                break
-            if global_ech.insert(dict(row)):
-                covered += 1
-            vec = apply(vec)
-        k = len(local_rows) - 1  # first dependent power
-        mat = QMatrix.from_rows([r for r in local_rows[:k]], ncols=total).transpose() \
-            if k else QMatrix.zeros(total, 0)
-        sol = solve_right(mat, local_rows[k]) if k else []
-        # x^k - sum sol_i x^i annihilates the start vector
-        local = [-c for c in sol] + [Frac(1)]
-        result = _poly_lcm(result, local)
-        if len(result) - 1 == total:
-            break
-    return _poly_monic(result)
-
-
-def _poly_monic(p):
-    p = _poly_normalize(list(p))
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Frac(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_normalize(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[d + i] -= c * bc
-        _poly_normalize(a)
-    return _poly_normalize(q), _poly_normalize(a)
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a) if a else []
-
-
-def _poly_lcm(a, b):
-    if not a:
-        return _poly_monic(b)
-    if not b:
-        return _poly_monic(a)
-    g = _poly_gcd(a, b)
-    q, r = _poly_divmod(_poly_mul(a, b), g)
-    assert not r
-    return _poly_monic(q)
+    offsets = list(itertools.accumulate((m.nrows * m.ncols for m in mats), initial=0))
+    width = offsets[-1]
+    ech = Echelon()
+    power = [QMatrix.identity(m.nrows) for m in mats]
+    for k in itertools.count():
+        row = {width + k: Frac(-1)}
+        for off, block in zip(offsets, power):
+            for i, entries in enumerate(block.data):
+                for j, x in enumerate(entries, off + i * block.ncols):
+                    if x:
+                        row[j] = x
+        row = ech.reduce(_int_row(row))
+        if min(row) >= width:
+            lead = row[width + k]
+            return [Frac(row.get(width + i, 0), lead) for i in range(k + 1)]
+        ech.insert(row)
+        power = [m * block for m, block in zip(mats, power)]
 
 
 def factor_over_rationals(p):
@@ -596,7 +520,13 @@ class IsoClassRegistry:
         self._by_dims = {}
 
     def register(self, module):
-        """Id of the class of an indecomposable module (registering if new)."""
+        """Id of the class of an indecomposable module (registering if new).
+        Raises AlgebraMismatch or SideMismatch for a module of another
+        algebra or side."""
+        if module.algebra is not self.algebra:
+            raise AlgebraMismatch("module over a different algebra than the registry")
+        if module.side != self.side:
+            raise SideMismatch(f"{module.side} module in a {self.side}-module registry")
         key = module.dims
         for cls in self._by_dims.get(key, ()):
             if _trace_pairing_nonzero(cls.module, module):

@@ -569,16 +569,11 @@ def top_counts(m):
 def socle_counts(m):
     """Multiplicities of the simples in the socle {x : Jx = 0}, per vertex."""
     eng = m.engine_presentation()
-    idx = eng.quiver.index
     out = []
-    for v in range(len(m.dims)):
+    for v, d in enumerate(m.dims):
         mats = [m.act[a.name] for a in eng.quiver.arrows_from[eng.quiver.vertices[v]]]
         mats = [mm for mm in mats if mm.nrows]
-        if not mats or m.dims[v] == 0:
-            out.append(m.dims[v])
-            continue
-        stacked = stack_rows(mats)
-        out.append(stacked.kernel_rows().nrows)
+        out.append(d - stack_rows(mats).rank() if mats and d else d)
     return tuple(out)
 
 

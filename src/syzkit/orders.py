@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .algebra import _ONE, MAX_PATHS, Quiver, Relation, _finalize
 from .errors import (BadExponentMatrix, IllFormedRelation, LoopsPresent,
-                     NonpositiveCycle, NotNilpotent, PathBudgetExceeded)
+                     NonpositiveCycle, NotNilpotent, PathBudgetExceeded,
+                     SideMismatch)
 from .homology import DEFAULT_BUDGET, idim_both_sides, resolve
 from .decompose import registry_for
 from .repetition import findim_bounds
@@ -369,8 +370,13 @@ def gldim_certificate(vq, probes, budget=DEFAULT_BUDGET):
     probe violating that for every admissible m (m at most the order's left
     finitistic dimension) certifies the probe has infinite projective
     dimension over the order, hence the order has infinite global dimension.
-    Finiteness is never claimed.
+    Finiteness is never claimed.  Raises SideMismatch, before any work, for
+    a probe that is not a left module.
     """
+    for probe in probes:
+        if probe.side != "left":
+            raise SideMismatch(f"gldim-cert probes must be left modules, got a "
+                               f"{probe.side} module")
     pres = presentation_from_valued_quiver(vq)
     fin = findim_bounds(pres, budget)
     if fin.left.upper is None:

@@ -150,6 +150,24 @@ def test_order_gldim_cert(data_dir):
     assert doc.results["certificate"]["status"] == "infinite-certified"
 
 
+def test_gldim_cert_rejects_a_right_probe_before_any_work(data_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    from syzkit import orders
+
+    def no_work(*args):
+        raise AssertionError("findim_bounds ran for a right-side probe")
+
+    monkeypatch.setattr(orders, "findim_bounds", no_work)
+    probe = tmp_path / "right6.mod"
+    probe.write_text("module {\n  side: right;\n  simple: 6;\n}\n")
+    code, doc = run_command([
+        "order", "gldim-cert", _data(data_dir, "ex47.ord"),
+        "--probe", str(probe), "--budget", "8"])
+    assert (code, doc) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "right module" in err
+
+
 def test_missing_file_is_error(data_dir):
     code, doc = run_command([
         "pdim", "--algebra", "/nonexistent.alg", "--module", "simple:1"])

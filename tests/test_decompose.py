@@ -10,7 +10,8 @@ from syzkit.decompose import (_trace_pairing_nonzero, end_ring,
                               is_isomorphic, iso_witness, krull_schmidt,
                               minimal_polynomial, modules_isomorphic,
                               radical_of_end, registry_for, split_once)
-from syzkit.errors import ExtensionFieldAmbiguity, ZeroModuleError
+from syzkit.errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
+                           ZeroModuleError)
 from syzkit.formats import parse_algebra
 from syzkit.homology import injective_indecomposables, syzygy
 from syzkit.modules import (ModMorphism, RepModule, direct_sum, hom_basis,
@@ -19,7 +20,7 @@ from syzkit.modules import (ModMorphism, RepModule, direct_sum, hom_basis,
                             top_columns, top_counts, top_map, zero_module)
 from syzkit.orders import (presentation_from_valued_quiver,
                            valued_quiver_from_exponents)
-from syzkit.ratmat import QMatrix, solve_right
+from syzkit.ratmat import Echelon, QMatrix, _int_row, solve_right
 from syzkit.repetition import _test_module_side
 
 import cases
@@ -161,6 +162,15 @@ def test_registry_shared_ids(ex_five):
     reg = registry_for(ex_five, "right")
     s = simple_module(ex_five, "3", "right")
     assert reg.register(s) == reg.register(s)
+
+
+def test_registry_refuses_modules_of_another_side_or_algebra(ex_five, ex_three_loop):
+    reg = decompose.IsoClassRegistry(ex_five, "left")
+    with pytest.raises(SideMismatch, match="right module in a left-module registry"):
+        reg.register(simple_module(ex_five, "3", "right"))
+    with pytest.raises(AlgebraMismatch):
+        reg.register(simple_module(ex_three_loop, "1", "left"))
+    assert len(reg) == 0
 
 
 def _differential_modules():
@@ -358,8 +368,96 @@ def _reference_poly_mul(p, q):
     return out
 
 
+# -- frozen reference: the Krylov minimal polynomial --------------------------
+# One Krylov chain per start vector not yet in the accumulated span, each
+# chain's local polynomial solved for, merged by a polynomial lcm, as the
+# split fallback computed it before the elimination over tagged powers.
+
+
+def _krylov_normalize(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _krylov_monic(p):
+    p = _krylov_normalize(list(p))
+    return [c / p[-1] for c in p]
+
+
+def _krylov_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _krylov_normalize(a):
+        if len(a) < len(b):
+            break
+        c = a[-1] / b[-1]
+        d = len(a) - len(b)
+        q[d] = c
+        for i, bc in enumerate(b):
+            a[d + i] -= c * bc
+        _krylov_normalize(a)
+    return _krylov_normalize(q), _krylov_normalize(a)
+
+
+def _krylov_gcd(a, b):
+    a, b = _krylov_normalize(list(a)), _krylov_normalize(list(b))
+    while b:
+        _, r = _krylov_divmod(a, b)
+        a, b = b, r
+    return _krylov_monic(a) if a else []
+
+
+def _krylov_lcm(a, b):
+    if not a:
+        return _krylov_monic(b)
+    if not b:
+        return _krylov_monic(a)
+    q, r = _krylov_divmod(_reference_poly_mul(a, b), _krylov_gcd(a, b))
+    assert not _krylov_normalize(r)
+    return _krylov_monic(q)
+
+
+def _krylov_minimal_polynomial(phi):
+    dims = phi.source.dims
+    total = sum(dims)
+    if total == 0:
+        return [Fraction(1)]
+    result = [Fraction(1)]
+    global_ech = Echelon()
+    covered = 0
+    for start in range(total):
+        if covered == total:
+            break
+        if not global_ech.reduce({start: 1}):
+            continue
+        blocks, pos = [], start
+        for d in dims:
+            blocks.append([Fraction(int(i == pos)) for i in range(d)])
+            pos -= d
+        local_ech = Echelon()
+        local_rows = []
+        vec = blocks
+        while True:
+            flat = [x for b in vec for x in b]
+            row = _int_row({i: x for i, x in enumerate(flat) if x})
+            local_rows.append(flat)
+            if not local_ech.insert(dict(row)):
+                break
+            if global_ech.insert(dict(row)):
+                covered += 1
+            vec = [a.apply(v) for a, v in zip(phi.mats, vec)]
+        k = len(local_rows) - 1
+        sol = solve_right(QMatrix.from_rows(local_rows[:k], ncols=total).transpose(),
+                          local_rows[k]) if k else []
+        result = _krylov_lcm(result, [-c for c in sol] + [Fraction(1)])
+        if len(result) - 1 == total:
+            break
+    return _krylov_monic(result)
+
+
 def _reference_split_by_endo(m, phi):
-    p = minimal_polynomial(phi)
+    p = _krylov_minimal_polynomial(phi)
     if len(p) <= 2:
         return None
     factors = factor_over_rationals(p)
@@ -735,3 +833,72 @@ def test_non_idempotent_split_keeps_the_minimal_polynomial_path(monkeypatch):
     assert [p.dims for p in pieces] == [(1, 1), (1, 1)]
     assert len(calls) >= 1
     assert [p.act for p in pieces] == [p.act for p in _reference_krull_schmidt(m)]
+
+
+def _minimal_polynomial_cases():
+    """(kind, endomorphism): seeded random combinations of End bases over
+    monomial, binomial and tiled-order algebras, both sides; idempotent,
+    nilpotent and scalar endomorphisms; a module whose middle vertex is
+    empty; the zero module; and the Kronecker modules with End/rad = Q(i)."""
+    from syzkit.algebra import Quiver, build_algebra
+
+    rng = random.Random(0x61)
+    algebras = randgen.algebra_pool(0x62, 4) + randgen.binomial_pool(0x63, 3)
+    algebras += [presentation_from_valued_quiver(valued_quiver_from_exponents(lam))
+                 for lam in randgen.tiled_order_pool(0x64, 3)]
+    for alg in algebras:
+        for side in ("left", "right"):
+            m = randgen.random_module(rng, alg, side, max_dim=12)
+            e = end_ring(m)
+            for _ in range(4):
+                yield "random", e.combo([Fraction(rng.randint(-3, 3)) for _ in e.basis])
+            for f in radical_of_end(e)[:2]:
+                yield "nilpotent", f
+            yield "scalar", identity_morphism(m).scale(Fraction(rng.randint(-3, 3)))
+            p = projective_module(alg, rng.choice(alg.quiver.vertices), side)
+            total, incl, proj = direct_sum([m, p])
+            yield "idempotent", incl[0].compose(proj[0])
+            yield "random", end_ring(total).combo(
+                [Fraction(rng.randint(-2, 2)) for _ in range(len(hom_basis(total, total)))])
+
+    # vertex 2 is empty and the two free 2 x 2 blocks around it are unrelated
+    alg = build_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]), [])
+    gap = RepModule(alg, "left", (2, 0, 2), {"a": QMatrix.zeros(0, 2),
+                                             "b": QMatrix.zeros(0, 2)})
+    yield "empty vertex", ModMorphism(gap, gap, [
+        QMatrix.from_rows([[0, 1], [0, 0]]), QMatrix.zeros(0, 0),
+        QMatrix.from_rows([[1, 0], [0, 2]])])
+    e = end_ring(gap)
+    for _ in range(4):
+        yield "empty vertex", e.combo([Fraction(rng.randint(-3, 3)) for _ in e.basis])
+    yield "zero module", identity_morphism(zero_module(alg, "left"))
+
+    for mod in _quadratic_field_modules():
+        e = end_ring(mod)
+        for f in e.basis:
+            yield "Q(i)", f
+        for _ in range(4):
+            yield "Q(i)", e.combo([Fraction(rng.randint(-3, 3)) for _ in e.basis])
+
+
+def test_minimal_polynomial_matches_the_frozen_krylov_routine():
+    """The elimination over tagged powers gives the Krylov routine's monic
+    polynomial, which annihilates phi."""
+    kinds, degrees, x2_plus_1 = {}, set(), 0
+    for kind, phi in _minimal_polynomial_cases():
+        p = minimal_polynomial(phi)
+        assert p == _krylov_minimal_polynomial(phi)
+        assert p[-1] == 1
+        assert _reference_poly_at(p, phi).is_zero()
+        if kind == "zero module":
+            assert p == [1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        degrees.add(len(p) - 1)
+        if kind == "Q(i)" and p == [1, 0, 1]:
+            x2_plus_1 += factor_over_rationals(p) == [(p, 1)]
+    assert sum(kinds.values()) > 150
+    assert set(kinds) == {"random", "nilpotent", "scalar", "idempotent",
+                          "empty vertex", "zero module", "Q(i)"}
+    assert {0, 1, 2, 3, 4} <= degrees
+    assert x2_plus_1 > 0
+
