@@ -7,6 +7,7 @@ budget, 1 on errors.
 """
 
 import argparse
+import functools
 import sys
 
 from .decompose import registry_for
@@ -269,6 +270,7 @@ def _cmd_order(args):
     raise SyzkitError(f"unknown order subcommand {args.order_command!r}")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="syzkit",

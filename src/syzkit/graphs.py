@@ -6,7 +6,7 @@ human-inspection aid only; nothing downstream compares graphs.
 from fractions import Fraction
 
 from .modules import radical_series_rows
-from .ratmat import QMatrix, _int_row, echelon_from_rows, solve_right
+from .ratmat import _ZERO, Echelon, QMatrix, _int_row, solve_right
 
 Frac = Fraction
 
@@ -62,35 +62,28 @@ def layered_graph(m):
     # layer up respects the filtration
     adapted = {v: [] for v in range(nv)}
     for v in range(nv):
-        taken = echelon_from_rows([])
-        chosen = []
+        taken = Echelon()
         for k in range(len(series) - 1, -1, -1):
-            rows = series[k][v]
-            for i in range(rows.nrows):
-                row = {j: x for j, x in enumerate(rows.data[i]) if x}
+            for _, row in series[k][v]:
                 if taken.insert(_int_row(row)):
-                    chosen.append((k, rows.row(i)))
-        adapted[v] = chosen
+                    adapted[v].append((k, row))
     nodes = []
     key_of = {}
     for v in range(nv):
-        for pos, (layer, vec) in enumerate(adapted[v]):
+        for pos, (layer, _) in enumerate(adapted[v]):
             nid = len(nodes)
             nodes.append((nid, layer, eng.quiver.vertices[v]))
             key_of[(v, pos)] = nid
     # basis-change matrices to express images in the adapted basis
-    basis_mats = {}
-    for v in range(nv):
-        if adapted[v]:
-            basis_mats[v] = QMatrix.from_rows([vec for _, vec in adapted[v]],
-                                              ncols=m.dims[v]).transpose()
+    basis_mats = {v: QMatrix.from_column_entries(m.dims[v], [row.items() for _, row in rows])
+                  for v, rows in adapted.items() if rows}
     edges = []
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
         if t not in basis_mats:
             continue
-        for pos, (layer, vec) in enumerate(adapted[s]):
-            img = m.act[a.name].apply(vec)
+        for pos, (layer, row) in enumerate(adapted[s]):
+            img = m.act[a.name].apply([row.get(c, _ZERO) for c in range(m.dims[s])])
             if not any(img):
                 continue
             coords = solve_right(basis_mats[t], img)

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import (_ZERO, QMatrix, _int_row, echelon_from_rows, kernel_rref,
-                     nullspace, pivot_columns, stack_rows)
+from .ratmat import (_ONE, _ZERO, Echelon, QMatrix, _int_row, echelon_from_rows,
+                     kernel_rref, nullspace)
 
 Frac = Fraction
 
@@ -38,8 +38,7 @@ class RepModule:
     """A finite-dimensional left or right module, given by one exact-rational
     space per vertex and one action matrix per arrow."""
 
-    __slots__ = ("algebra", "side", "dims", "act", "_path_cache", "_radical",
-                 "_top_reader")
+    __slots__ = ("algebra", "side", "dims", "act", "_path_cache", "_radical")
 
     def __init__(self, algebra, side, dims, act, validate=True):
         _check_side(side)
@@ -52,8 +51,7 @@ class RepModule:
             raise DimensionMismatch("negative vertex dimension")
         self.act = dict(act)
         self._path_cache = {}
-        self._radical = None       # radical_rows, filled on first use
-        self._top_reader = None    # _top_reader, filled on first use
+        self._radical = None       # _radical_record, filled on first use
         eng = self.engine_presentation()
         for a in eng.quiver.arrows:
             m = self.act.get(a.name)
@@ -335,6 +333,17 @@ def direct_sum(mods):
     return total, incls, projs
 
 
+def _push(y, cols):
+    """The image {row: x} of the sparse vector y under the matrix with column
+    nonzeros cols; a unit entry (the shared _ONE) multiplies nothing."""
+    z = {}
+    for c, x in y.items():
+        for r, w in cols[c]:
+            xw = w if x is _ONE else x * w
+            z[r] = z[r] + xw if r in z else xw
+    return z
+
+
 def span_module(algebra, side, bases, images):
     """The submodule spanned at each vertex by a reduced echelon basis, in
     the coordinates of that basis.
@@ -358,10 +367,7 @@ def span_module(algebra, side, bases, images):
         cols, position = images[a.name], positions[t]
         coords = [[_ZERO] * dims[s] for _ in range(dims[t])]
         for i, (_, y) in enumerate(bases[s]):
-            z = {}
-            for c, x in y.items():
-                for r, w in cols[c]:
-                    z[r] = z.get(r, _ZERO) + x * w
+            z = _push(y, cols)
             for p in [p for p in z if p in position]:
                 zp = z[p]
                 if zp:
@@ -445,46 +451,60 @@ def kernel_module(f):
 # -- radical structure --------------------------------------------------------
 
 
-def radical_rows(m):
-    """Per-vertex reduced echelon row bases of J*M (engine view: sum of arrow
-    images).  Computed once per module, since a module is never mutated."""
-    if m._radical is not None:
-        return m._radical
+def _unit_rows(m):
+    """The reduced echelon basis of all of m at each vertex: the unit vectors."""
+    return tuple([(c, {c: _ONE}) for c in range(d)] for d in m.dims)
+
+
+def _radical_of(m, bases):
+    """J*U for the subspaces U of m spanned by reduced echelon bases
+    [(pivot, {col: x})], as Echelon.rref_rows() gives them: per vertex, the
+    reduced echelon basis of the span of the arrow images of U's basis rows
+    (engine view), each image pushed through the arrow's column nonzeros."""
     eng = m.engine_presentation()
     idx = eng.quiver.index
-    pieces = {v: [] for v in range(len(m.dims))}
+    echelons = [Echelon() for _ in m.dims]
     for a in eng.quiver.arrows:
-        t = idx[a.target]
-        mat = m.act[a.name]
-        if mat.nrows and mat.ncols:
-            pieces[t].append(mat.transpose())
-    out = []
-    for v in range(len(m.dims)):
-        if pieces[v]:
-            out.append(stack_rows(pieces[v]).row_space())
-        else:
-            out.append(QMatrix.zeros(0, m.dims[v]))
-    m._radical = tuple(out)
+        s, t = idx[a.source], idx[a.target]
+        if not bases[s] or not m.dims[t]:
+            continue
+        cols = m.act[a.name].column_entries()
+        for _, y in bases[s]:
+            row = _int_row(_push(y, cols))
+            if row:
+                echelons[t].insert(row)
+    return tuple(e.rref_rows() for e in echelons)
+
+
+def _radical_record(m):
+    """(radical_rows(m), top reader), computed once per module (modules are
+    never mutated).  The reader holds per vertex (free columns, pivot rows):
+    the unit vectors at the free columns represent a basis of M/JM, and
+    modulo JM the unit vector at pivot p is -sum_i R_p[free[i]] times top
+    generator i, kept as (p, [(i, R_p[free[i]])]) by ascending i when some
+    term is nonzero."""
+    if m._radical is None:
+        rows = _radical_of(m, _unit_rows(m))
+        reader = []
+        for d, basis in zip(m.dims, rows):
+            pivots = {p for p, _ in basis}
+            free = [c for c in range(d) if c not in pivots]
+            position = {c: i for i, c in enumerate(free)}
+            terms = [(p, sorted((position[c], x) for c, x in row.items() if c != p))
+                     for p, row in basis]
+            reader.append((free, [(p, t) for p, t in terms if t]))
+        m._radical = (rows, tuple(reader))
     return m._radical
 
 
+def radical_rows(m):
+    """Per vertex, the reduced echelon basis [(pivot, {col: x})] of J*M."""
+    return _radical_record(m)[0]
+
+
 def _top_reader(m):
-    """Per vertex, (free columns of radical_rows(m), pivot rows): the unit
-    vectors at the free columns represent a basis of the top M/JM, and modulo
-    JM the unit vector at pivot p is e_p - R_p, that is -sum_i R_p[free[i]]
-    times top generator i; a pivot row with a nonzero such term is kept as
-    (p, [(i, R_p[free[i]])]) over those terms.  Computed once per module."""
-    if m._top_reader is None:
-        reader = []
-        for d, rows in zip(m.dims, radical_rows(m)):
-            pivots = pivot_columns(rows)
-            on_pivot = set(pivots)
-            free = [c for c in range(d) if c not in on_pivot]
-            terms = [(p, [(i, row[c]) for i, c in enumerate(free) if row[c]])
-                     for p, row in zip(pivots, rows.data)]
-            reader.append((free, [(p, t) for p, t in terms if t]))
-        m._top_reader = tuple(reader)
-    return m._top_reader
+    """Per vertex, (free columns, pivot rows) of m's top; see _radical_record."""
+    return _radical_record(m)[1]
 
 
 def top_columns(m):
@@ -522,59 +542,34 @@ def top_map(f):
 
 
 def radical_series_rows(m):
-    """Row bases of M = J^0 M >= J^1 M >= ... down to zero."""
-    series = [[QMatrix.identity(d) if d else QMatrix.zeros(0, d) for d in m.dims]]
-    rows = radical_rows(m)
-    while True:
-        series.append(rows)
-        if all(r.nrows == 0 for r in rows):
-            break
-        # next layer: J * (J^k M): images of the subspace under the arrows
-        eng = m.engine_presentation()
-        idx = eng.quiver.index
-        nxt_pieces = {v: [] for v in range(len(m.dims))}
-        for a in eng.quiver.arrows:
-            s, t = idx[a.source], idx[a.target]
-            if rows[s].nrows:
-                img = (m.act[a.name] * rows[s].transpose()).transpose()
-                nxt_pieces[t].append(img)
-        nxt = []
-        for v in range(len(m.dims)):
-            if nxt_pieces[v]:
-                nxt.append(stack_rows(nxt_pieces[v]).row_space())
-            else:
-                nxt.append(QMatrix.zeros(0, m.dims[v]))
-        rows = nxt
+    """Reduced echelon bases, per vertex, of M = J^0 M >= J^1 M >= ... down
+    to zero, with J^{k+1} M = J * J^k M."""
+    series = [_unit_rows(m), radical_rows(m)]
+    while any(series[-1]):
+        series.append(_radical_of(m, series[-1]))
     return series
 
 
 def radical_filtration(m):
     """Multiplicity vectors of the semisimple layers J^k M / J^{k+1} M."""
     series = radical_series_rows(m)
-    layers = []
-    for k in range(len(series) - 1):
-        layer = tuple(series[k][v].nrows - series[k + 1][v].nrows
-                      for v in range(len(m.dims)))
-        if any(layer):
-            layers.append(layer)
-    return layers
+    layers = [tuple(len(u) - len(w) for u, w in zip(upper, lower))
+              for upper, lower in zip(series, series[1:])]
+    return [layer for layer in layers if any(layer)]
 
 
 def top_counts(m):
     """Multiplicities of the simples in M / JM, per vertex."""
-    rad = radical_rows(m)
-    return tuple(m.dims[v] - rad[v].nrows for v in range(len(m.dims)))
+    return tuple(d - len(rows) for d, rows in zip(m.dims, radical_rows(m)))
 
 
 def socle_counts(m):
-    """Multiplicities of the simples in the socle {x : Jx = 0}, per vertex."""
+    """Multiplicities of the simples in the socle {x : Jx = 0}, per vertex:
+    dim M_v minus the rank of the rows of the arrow matrices leaving v."""
     eng = m.engine_presentation()
-    out = []
-    for v, d in enumerate(m.dims):
-        mats = [m.act[a.name] for a in eng.quiver.arrows_from[eng.quiver.vertices[v]]]
-        mats = [mm for mm in mats if mm.nrows]
-        out.append(d - stack_rows(mats).rank() if mats and d else d)
-    return tuple(out)
+    return tuple(d - echelon_from_rows(row for a in eng.quiver.arrows_from[v]
+                                       for row in m.act[a.name]._int_rows()).rank
+                 for v, d in zip(eng.quiver.vertices, m.dims))
 
 
 def contains_full_semisimple(m):

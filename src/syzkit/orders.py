@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import _ONE, MAX_PATHS, Quiver, Relation, _finalize
 from .errors import (BadExponentMatrix, IllFormedRelation, LoopsPresent,
                      NonpositiveCycle, NotNilpotent, PathBudgetExceeded,
-                     SideMismatch)
+                     SideMismatch, SyzkitError)
 from .homology import DEFAULT_BUDGET, idim_both_sides, resolve
 from .decompose import registry_for
 from .repetition import findim_bounds
@@ -314,10 +314,19 @@ def order_report(vq, budget=DEFAULT_BUDGET, asserted_gldim=None,
     dimensions are the residue algebra's plus one; when both injective
     dimensions are finite the big and little dimensions of both sides agree;
     an asserted finite global dimension d yields global repetition index
-    d - 1 and finite syzygy type for all finitely generated modules.
+    d - 1 and finite syzygy type for all finitely generated modules.  A
+    negative d, or one below a certified fin dim lower bound, is refused.
     """
+    if asserted_gldim is not None and asserted_gldim < 0:
+        raise SyzkitError(f"asserted global dimension must be >= 0, got {asserted_gldim}")
     pres = presentation_from_valued_quiver(vq)
     fin = findim_bounds(pres, budget, extra_left_probes, extra_right_probes)
+    if asserted_gldim is not None:
+        for side, sub in (("left", fin.left), ("right", fin.right)):
+            if sub.lower is not None and asserted_gldim < sub.lower + 1:
+                raise SyzkitError(
+                    f"asserted global dimension {asserted_gldim} is below the "
+                    f"order's certified {side} fin dim lower bound {sub.lower + 1}")
     idim_left, idim_right, idim_detail = idim_both_sides(pres, budget)
     report = {
         "algebra": {

@@ -418,13 +418,3 @@ def pivot_columns(rref):
     """Pivot column of each row of a reduced echelon QMatrix (row_space)."""
     return [next(j for j, x in enumerate(row) if x) for row in rref.data]
 
-
-def stack_rows(mats):
-    """Vertically stack matrices (all with the same column count)."""
-    mats = [m for m in mats]
-    if not mats:
-        raise DimError("nothing to stack")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out

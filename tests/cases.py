@@ -3,6 +3,7 @@
 from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.modules import radical_filtration
 from syzkit.orders import ExponentMatrix, ValuedQuiver, valued_quiver_from_exponents
+from syzkit.ratmat import QMatrix
 
 
 def three_vertex_loop_algebra():
@@ -83,3 +84,11 @@ def layer_labels(module):
     verts = module.algebra.quiver.vertices
     return [sorted(v for v, c in zip(verts, layer) for _ in range(c))
             for layer in radical_filtration(module)]
+
+
+def dense_rows(bases, dims):
+    """Per-vertex reduced echelon bases [(pivot, {col: x})], as
+    modules.radical_rows gives them, as dense QMatrix row bases."""
+    return [QMatrix.from_rows([[row.get(c, 0) for c in range(d)] for _, row in basis],
+                              ncols=d)
+            for basis, d in zip(bases, dims)]

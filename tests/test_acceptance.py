@@ -260,7 +260,7 @@ def test_criterion_7a_cover_minimality(algebra_pool):
     checked = 0
     for rng, alg, m in _instances(algebra_pool, 101):
         syz, incl, cov = syzygy_with_cover(m)
-        rad = radical_rows(cov.module)
+        rad = cases.dense_rows(radical_rows(cov.module), cov.module.dims)
         for v in range(len(m.dims)):
             kernel_rows_v = QMatrix.from_rows(
                 [incl.mats[v].column(j) for j in range(syz.dims[v])],

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from syzkit.cli import run_command
+from syzkit.cli import build_parser, run_command
 
 
 def _data(data_dir, name):
@@ -252,3 +254,48 @@ def test_non_integer_arrow_value_is_an_error(tmp_path, capsys):
     assert (code, doc) == (1, None)
     err = capsys.readouterr().err
     assert err.startswith("error: line 4, column 25: ") and "'x'" in err
+
+
+def test_parser_is_built_once_and_survives_failed_parses(data_dir, tmp_path, capsys):
+    """The parser is built once per process; after parses that fail (exit 1),
+    a good command gives the document a fresh interpreter gives."""
+    assert build_parser() is build_parser()
+    argv = ["bmatrix", "--algebra", _data(data_dir, "ex33.alg"), "--budget", "12"]
+    for bad in (["bmatrix", "--budget", "x"], ["order", "frobnicate", "x.ord"],
+                ["order", "report", _data(data_dir, "ex47.ord"), "--assert-gldim", "y"]):
+        assert run_command(bad) == (1, None)
+    code, doc = run_command(argv)
+    capsys.readouterr()
+    out = tmp_path / "fresh.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    fresh = subprocess.run([sys.executable, "-m", "syzkit.cli", *argv, "--out", str(out)],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert (code, doc.to_json() + "\n") == (fresh.returncode, out.read_text())
+
+
+def test_assert_gldim_negative_is_refused_before_any_work(data_dir, monkeypatch, capsys):
+    from syzkit import orders
+
+    def no_work(*args):
+        raise AssertionError("the order was built for a negative asserted gldim")
+
+    monkeypatch.setattr(orders, "presentation_from_valued_quiver", no_work)
+    code, doc = run_command(["order", "report", _data(data_dir, "ex47.ord"),
+                             "--budget", "4", "--assert-gldim", "-3"])
+    assert (code, doc) == (1, None)
+    assert capsys.readouterr().err == \
+        "error: asserted global dimension must be >= 0, got -3\n"
+
+
+def test_assert_gldim_below_the_certified_fin_dim_is_refused(data_dir, capsys):
+    # both fin dims of the ex47 order are certified as 2, and gldim >= fin dim
+    code, doc = run_command(["order", "report", _data(data_dir, "ex47.ord"),
+                             "--budget", "4", "--assert-gldim", "1"])
+    assert (code, doc) == (1, None)
+    assert capsys.readouterr().err == (
+        "error: asserted global dimension 1 is below the order's certified "
+        "left fin dim lower bound 2\n")
+    code, doc = run_command(["order", "report", _data(data_dir, "ex47.ord"),
+                             "--budget", "4", "--assert-gldim", "2"])
+    assert code == 0
+    assert doc.results["report"]["asserted_gldim"]["global_repetition_index"] == 1

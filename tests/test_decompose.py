@@ -735,7 +735,8 @@ def test_top_map_reads_each_image_modulo_the_radical():
             for m in mods:
                 n = _rebased(rng, m)
                 reads = [(v, sources, free, rad.tolist()) for v, (sources, free, rad)
-                         in enumerate(zip(top_columns(m), top_columns(n), radical_rows(n)))
+                         in enumerate(zip(top_columns(m), top_columns(n),
+                                          cases.dense_rows(radical_rows(n), n.dims)))
                          if sources and free]
                 for f in hom_basis(m, n)[:6]:
                     want = {}

@@ -84,7 +84,7 @@ def test_submodule_coordinates_match_a_solve():
             eng = m.engine_presentation()
             eng_arrows = [(a.name, eng.quiver.index[a.source], eng.quiver.index[a.target])
                           for a in eng.quiver.arrows]
-            tries = radical_series_rows(m)[1:]
+            tries = [cases.dense_rows(layer, m.dims) for layer in radical_series_rows(m)[1:]]
             for _ in range(6):
                 tries.append([QMatrix.from_rows([[rng.randint(-1, 1) for _ in range(d)]
                                                  for _ in range(rng.randint(0, d))], ncols=d)
@@ -453,3 +453,200 @@ def test_hom_system_and_nullspace_match_dense_reference():
     assert pairs >= 500
     assert loop_squares >= 10
     assert collisions >= 5
+
+
+# -- the echelon radical against frozen copies of the dense one ---------------
+
+
+def _frozen_stack(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.vstack(m)
+    return out
+
+
+def _frozen_radical_of(m, layer):
+    """J * (rows of layer) the dense way: each arrow's images (m_a B^T)^T,
+    stacked per target vertex and densified by row_space()."""
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    pieces = {v: [] for v in range(len(m.dims))}
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        if layer[s].nrows:
+            pieces[t].append((m.act[a.name] * layer[s].transpose()).transpose())
+    return [_frozen_stack(pieces[v]).row_space() if pieces[v] else QMatrix.zeros(0, d)
+            for v, d in enumerate(m.dims)]
+
+
+def _frozen_radical_rows(m):
+    """The former radical_rows: every arrow matrix transposed, the copies
+    into a vertex stacked, their RREF densified by row_space()."""
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    pieces = {v: [] for v in range(len(m.dims))}
+    for a in eng.quiver.arrows:
+        mat = m.act[a.name]
+        if mat.nrows and mat.ncols:
+            pieces[idx[a.target]].append(mat.transpose())
+    return [_frozen_stack(pieces[v]).row_space() if pieces[v] else QMatrix.zeros(0, d)
+            for v, d in enumerate(m.dims)]
+
+
+def _frozen_radical_series_rows(m):
+    series = [[QMatrix.identity(d) if d else QMatrix.zeros(0, d) for d in m.dims]]
+    rows = _frozen_radical_rows(m)
+    while True:
+        series.append(rows)
+        if all(r.nrows == 0 for r in rows):
+            return series
+        rows = _frozen_radical_of(m, rows)
+
+
+def _frozen_socle_counts(m):
+    eng = m.engine_presentation()
+    out = []
+    for v, d in enumerate(m.dims):
+        mats = [m.act[a.name] for a in eng.quiver.arrows_from[eng.quiver.vertices[v]]]
+        mats = [mm for mm in mats if mm.nrows]
+        out.append(d - _frozen_stack(mats).rank() if mats and d else d)
+    return tuple(out)
+
+
+def _frozen_top_reader(m):
+    """The former top reader: a pivot_columns scan of the dense radical rows."""
+    from syzkit.ratmat import pivot_columns
+
+    reader = []
+    for d, rows in zip(m.dims, _frozen_radical_rows(m)):
+        pivots = pivot_columns(rows)
+        on_pivot = set(pivots)
+        free = [c for c in range(d) if c not in on_pivot]
+        terms = [(p, [(i, row[c]) for i, c in enumerate(free) if row[c]])
+                 for p, row in zip(pivots, rows.data)]
+        reader.append((free, [(p, t) for p, t in terms if t]))
+    return tuple(reader)
+
+
+def _frozen_layered_graph(m):
+    """The former layered_graph: its adapted basis read off the dense series."""
+    from syzkit.graphs import LayeredGraph
+    from syzkit.ratmat import _int_row, echelon_from_rows, solve_right
+
+    series = _frozen_radical_series_rows(m)
+    nv = len(m.dims)
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    adapted = {v: [] for v in range(nv)}
+    for v in range(nv):
+        taken = echelon_from_rows([])
+        chosen = []
+        for k in range(len(series) - 1, -1, -1):
+            rows = series[k][v]
+            for i in range(rows.nrows):
+                row = {j: x for j, x in enumerate(rows.data[i]) if x}
+                if taken.insert(_int_row(row)):
+                    chosen.append((k, rows.row(i)))
+        adapted[v] = chosen
+    nodes = []
+    key_of = {}
+    for v in range(nv):
+        for pos, (layer, vec) in enumerate(adapted[v]):
+            nid = len(nodes)
+            nodes.append((nid, layer, eng.quiver.vertices[v]))
+            key_of[(v, pos)] = nid
+    basis_mats = {}
+    for v in range(nv):
+        if adapted[v]:
+            basis_mats[v] = QMatrix.from_rows([vec for _, vec in adapted[v]],
+                                              ncols=m.dims[v]).transpose()
+    edges = []
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        if t not in basis_mats:
+            continue
+        for pos, (layer, vec) in enumerate(adapted[s]):
+            img = m.act[a.name].apply(vec)
+            if not any(img):
+                continue
+            coords = solve_right(basis_mats[t], img)
+            if coords is None:
+                continue
+            hits = [(adapted[t][i][0], i) for i, c in enumerate(coords) if c]
+            if not hits:
+                continue
+            top_layer = min(l for l, _ in hits)
+            for l, i in hits:
+                if l == top_layer:
+                    edges.append((key_of[(s, pos)], key_of[(t, i)], a.name))
+    return LayeredGraph(nodes, edges, m.side)
+
+
+def _rebased(rng, m):
+    """m with each vertex space rebased by a random invertible matrix, so
+    that the rows of JM meet the top columns."""
+    change = []
+    for d in m.dims:
+        p = QMatrix.zeros(d, d)
+        while d and not p.is_invertible():
+            p = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(d)]
+                                   for _ in range(d)], ncols=d)
+        change.append(p)
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    act = {a.name: change[idx[a.target]] * m.act[a.name] * change[idx[a.source]].inverse()
+           for a in eng.quiver.arrows}
+    return RepModule(m.algebra, m.side, m.dims, act)
+
+
+def _radical_pool_modules():
+    """Projectives, injectives, first and second syzygies of the simples and
+    random modules (each also rebased), on both sides of seeded monomial,
+    binomial and tiled-order residue algebras."""
+    from syzkit.homology import injective_indecomposables, syzygy
+    from syzkit.orders import presentation_from_valued_quiver, valued_quiver_from_exponents
+
+    algebras = randgen.algebra_pool(0x5C0, 6) + randgen.binomial_pool(0x5C1, 4)
+    algebras += [presentation_from_valued_quiver(valued_quiver_from_exponents(lam))
+                 for lam in randgen.tiled_order_pool(0x5C2, 4)]
+    rng = random.Random(0x5C3)
+    for alg in algebras:
+        for side in ("left", "right"):
+            for v in alg.quiver.vertices:
+                yield projective_module(alg, v, side)
+                omega = syzygy(simple_module(alg, v, side))
+                yield from (omega, _rebased(rng, omega), syzygy(omega))
+            yield from injective_indecomposables(alg, side)
+            for _ in range(2):
+                m = randgen.random_module(rng, alg, side)
+                yield from (m, _rebased(rng, m))
+
+
+def test_echelon_radical_matches_the_frozen_dense_radical():
+    """Layer by layer, radical_series_rows gives the pivots and rows of the
+    dense stack-and-row_space() builder; socle counts, the top reader and
+    the layered graph's text and DOT are those of the frozen dense code."""
+    from syzkit.graphs import layered_graph
+    from syzkit.modules import _top_reader, radical_rows
+    from syzkit.ratmat import pivot_columns
+
+    modules = deep = reduced = 0
+    for m in _radical_pool_modules():
+        want = _frozen_radical_series_rows(m)
+        got = radical_series_rows(m)
+        assert got[1] is radical_rows(m)
+        assert len(got) == len(want)
+        for got_layer, want_layer in zip(got, want):
+            assert [[p for p, _ in b] for b in got_layer] == \
+                [pivot_columns(rows) for rows in want_layer]
+            assert cases.dense_rows(got_layer, m.dims) == want_layer
+        assert socle_counts(m) == _frozen_socle_counts(m)
+        assert _top_reader(m) == _frozen_top_reader(m)
+        assert top_counts(m) == tuple(d - r.nrows for d, r in zip(m.dims, want[1]))
+        graph, frozen = layered_graph(m), _frozen_layered_graph(m)
+        assert graph.render_text() == frozen.render_text()
+        assert graph.render_dot() == frozen.render_dot()
+        modules += 1
+        deep += len(got) > 3
+        reduced += any(pivot_rows for _, pivot_rows in _top_reader(m))
+    assert modules >= 400 and deep >= 100 and reduced >= 40
