@@ -15,8 +15,9 @@ from .errors import SyzkitError
 from .formats import (emit_algebra, emit_valued_quiver, parse_algebra,
                       parse_module, parse_order)
 from .graphs import layered_graph
-from .homology import DEFAULT_BUDGET, injective_indecomposables, pdim, resolve
-from .modules import direct_sum, simple_module
+from .homology import (DEFAULT_BUDGET, injective_cogenerator, pdim, resolve,
+                       semisimple_quotient)
+from .modules import simple_module
 from .orders import (ExponentMatrix, gldim_certificate, order_report,
                      presentation_from_valued_quiver,
                      valued_quiver_from_exponents)
@@ -44,13 +45,9 @@ def _load_module(spec, algebra, side=None):
 
 def _root_module(args, algebra):
     if args.t == "lambda-mod-j":
-        simples = [simple_module(algebra, v, args.side)
-                   for v in algebra.quiver.vertices]
-        total, _, _ = direct_sum(simples)
-        return total, "semisimple quotient"
+        return semisimple_quotient(algebra, args.side), "semisimple quotient"
     if args.t == "cogenerator":
-        total, _, _ = direct_sum(injective_indecomposables(algebra, args.side))
-        return total, "injective cogenerator"
+        return injective_cogenerator(algebra, args.side), "injective cogenerator"
     return _load_module(args.t, algebra, args.side), args.t
 
 
@@ -213,7 +210,12 @@ def _cmd_graph(args):
     algebra = _load_algebra(args)
     module = _load_module(args.module, algebra, args.side)
     graph = layered_graph(module)
-    print(graph.render_dot() if args.dot else graph.render_text())
+    text = graph.render_dot() if args.dot else graph.render_text()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
     return None
 
 
@@ -282,7 +284,8 @@ def build_parser():
         p.add_argument("--algebra", required=True, help=".alg file")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--side", choices=["left", "right"], default="left")
-        p.add_argument("--out", help="write the JSON report to this path")
+        p.add_argument("--out", help="write the JSON report (graph: the text or "
+                                     "DOT rendering) to this path")
         if module:
             p.add_argument("--module", required=True,
                            help=".mod file or simple:<vertex>")

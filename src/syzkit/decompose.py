@@ -212,8 +212,9 @@ def minimal_polynomial(phi):
     flattened vertex-major and row-major, is one row with a tag -1 at column
     width + k.  The first power whose entry columns reduce to zero is a
     combination of the lower ones, and its reduced row carries that monic
-    dependency, scaled, in the tag columns (the augmented-column idiom of
-    ratmat.solve_columns).  The zero module gives [1] at k = 0."""
+    dependency, scaled, in the tag columns (the augmented-column idiom that
+    graphs.layered_graph also reads its edges with).  The zero module gives
+    [1] at k = 0."""
     mats = phi.mats
     offsets = list(itertools.accumulate((m.nrows * m.ncols for m in mats), initial=0))
     width = offsets[-1]

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from .algebra import Quiver, Relation, build_algebra
 from .errors import IllFormedRelation, ParseError
-from .modules import (RepModule, direct_sum, projective_layout, projective_module,
-                      quotient_module, simple_module)
+from .modules import (RepModule, path_images, projective_images, projective_layout,
+                      projective_module, quotient_by_span, simple_module)
 from .orders import ExponentMatrix, ValuedQuiver
-from .ratmat import QMatrix
+from .ratmat import Echelon, QMatrix, _int_row
 
 Frac = Fraction
 
@@ -377,6 +377,8 @@ def _parse_cokernel_block(p):
                 covers.append(p.expect_word("vertex").text)
                 if p.at_sym(","):
                     p.next()
+            if not covers:
+                p.fail("covers lists no vertex")
             p.expect_sym(";")
         elif key.text == "kill":
             terms = []
@@ -446,55 +448,40 @@ def _build_explicit(algebra, side, payload):
 
 
 def _build_cokernel(algebra, side, payload):
-    quiver = algebra.quiver
+    """P / (the submodule generated by the kill elements), P the sum of the
+    projectives at the covers, kept as data: P's layout and arrow images
+    (modules.projective_layout, projective_images), each generator's orbit
+    under the basis paths (modules.path_images) in one Echelon per vertex,
+    and the quotient read off those bases (modules.quotient_by_span)."""
     covers = payload["covers"]
     for v in covers:
         _check_vertex(algebra, v)
-    total, _, _ = direct_sum([projective_module(algebra, v, side) for v in covers])
     eng = algebra if side == "left" else algebra.opposite()
-    nv = len(quiver.vertices)
+    layout = projective_layout(eng, covers)
+    dims, images = projective_images(eng, layout)
     # per copy: basis index -> (target vertex index, column in the sum)
-    columns = [{i: (tv, col) for i, tv, col in entries}
-               for entries in projective_layout(eng, covers)]
-
-    def element_vector(coeff, names, copy):
-        if not (1 <= copy <= len(covers)):
-            raise ParseError(f"copy index {copy} out of range")
-        src = covers[copy - 1]
-        tgt = eng.quiver.path_target(src, names)
-        cls = eng.class_of(src, names)
-        if cls is None:
-            return None, eng.quiver.index[tgt]
-        c, idx = cls
-        tv, col = columns[copy - 1][idx]
-        vec = [Frac(0)] * total.dims[tv]
-        vec[col] = coeff * c
-        return vec, tv
-
-    gen_vectors = []
+    columns = [{i: (tv, col) for i, tv, col in entries} for entries in layout]
+    echelons = [Echelon() for _ in dims]
     for terms in payload["kills"]:
-        acc = {v: [Frac(0)] * total.dims[v] for v in range(nv)}
+        gen = {}    # the generator per vertex of P, as {column: x}
         for coeff, names, copy in terms:
-            vec, tv = element_vector(coeff, names, copy)
-            if vec is not None:
-                acc[tv] = [a + b for a, b in zip(acc[tv], vec)]
-        gen_vectors.append(acc)
-    # close the generators under the algebra action
-    rows = {v: [] for v in range(nv)}
-    for acc in gen_vectors:
-        for v in range(nv):
-            if not any(acc[v]):
-                continue
-            vlabel = quiver.vertices[v]
-            for i in eng.basis_by_source[vlabel]:
-                b = eng.basis[i]
-                img = total.path_action(vlabel, b.names).apply(acc[v])
-                if any(img):
-                    rows[eng.quiver.index[b.target]].append(img)
-    vertex_rows = [QMatrix.from_rows(rows[v], ncols=total.dims[v])
-                   if rows[v] else QMatrix.zeros(0, total.dims[v])
-                   for v in range(nv)]
-    quo, _ = quotient_module(total, vertex_rows)
+            if not (1 <= copy <= len(covers)):
+                raise ParseError(f"copy index {copy} out of range")
+            src = covers[copy - 1]
+            eng.quiver.path_target(src, names)
+            cls = eng.class_of(src, names)
+            if cls is not None:
+                c, i = cls
+                tv, col = columns[copy - 1][i]
+                y = gen.setdefault(tv, {})
+                y[col] = y.get(col, 0) + coeff * c
+        for v, y in gen.items():
+            y = {col: x for col, x in y.items() if x}
+            orbit = path_images(eng, y, eng.basis_by_source[eng.quiver.vertices[v]], images)
+            for i, z in orbit.items():
+                if z:
+                    echelons[eng.quiver.index[eng.basis[i].target]].insert(_int_row(z))
+    quo = quotient_by_span(algebra, side, dims, [e.rref_rows() for e in echelons], images)
     quo.verify()
     return quo
 

@@ -1,14 +1,11 @@
 """Layered-graph emitter for modules: radical layers as rows, arrow actions as
 edges.  The picture depends on the choice of layer generators, so it is a
-human-inspection aid only; nothing downstream compares graphs.
+human-inspection aid only; nothing downstream compares graphs.  Generators
+and edges are read off one tagged Echelon per vertex, with no solve.
 """
 
-from fractions import Fraction
-
-from .modules import radical_series_rows
-from .ratmat import _ZERO, Echelon, QMatrix, _int_row, solve_right
-
-Frac = Fraction
+from .modules import _push, radical_series_rows
+from .ratmat import Echelon, _int_row
 
 
 class LayeredGraph:
@@ -53,19 +50,27 @@ def layered_graph(m):
     Nodes are layer-generators labelled by their vertex; an edge labelled by
     an arrow joins a node to every node carrying a nonzero coefficient of its
     image in the deepest layer that contains it.  Not canonical.
+
+    The adapted basis of a vertex space of dim d is chosen in one Echelon of
+    tagged rows: generator i is inserted with -1 at column d + i, deepest
+    layers first so that completing to the next layer up respects the
+    filtration, and a series row whose first d columns reduce to zero lies
+    in the span already.  An image reduced along the same Echelon keeps only
+    tag columns, holding its coordinates up to one scalar; only their support
+    is read (the augmented-column idiom of decompose.minimal_polynomial).
     """
     series = radical_series_rows(m)
     nv = len(m.dims)
     eng = m.engine_presentation()
     idx = eng.quiver.index
-    # adapted basis per vertex: deepest layers first so completing to the next
-    # layer up respects the filtration
     adapted = {v: [] for v in range(nv)}
-    for v in range(nv):
-        taken = Echelon()
+    echelons = [Echelon() for _ in range(nv)]
+    for v, d in enumerate(m.dims):
         for k in range(len(series) - 1, -1, -1):
             for _, row in series[k][v]:
-                if taken.insert(_int_row(row)):
+                tagged = echelons[v].reduce({**_int_row(row), d + len(adapted[v]): -1})
+                if min(tagged) < d:
+                    echelons[v].insert(tagged)
                     adapted[v].append((k, row))
     nodes = []
     key_of = {}
@@ -74,24 +79,15 @@ def layered_graph(m):
             nid = len(nodes)
             nodes.append((nid, layer, eng.quiver.vertices[v]))
             key_of[(v, pos)] = nid
-    # basis-change matrices to express images in the adapted basis
-    basis_mats = {v: QMatrix.from_column_entries(m.dims[v], [row.items() for _, row in rows])
-                  for v, rows in adapted.items() if rows}
     edges = []
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
-        if t not in basis_mats:
-            continue
+        cols, d = m.act[a.name].column_entries(), m.dims[t]
         for pos, (layer, row) in enumerate(adapted[s]):
-            img = m.act[a.name].apply([row.get(c, _ZERO) for c in range(m.dims[s])])
-            if not any(img):
+            img = _int_row(_push(row, cols))
+            if not img:
                 continue
-            coords = solve_right(basis_mats[t], img)
-            if coords is None:
-                continue
-            hits = [(adapted[t][i][0], i) for i, c in enumerate(coords) if c]
-            if not hits:
-                continue
+            hits = [(adapted[t][c - d][0], c - d) for c in sorted(echelons[t].reduce(img))]
             top_layer = min(l for l, _ in hits)
             for l, i in hits:
                 if l == top_layer:

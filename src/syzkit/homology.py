@@ -14,14 +14,16 @@ A cover P -> M is kept as data, not as a module: P's coordinates come from
 modules.projective_layout and its arrow action from projective_images (an
 arrow sends the column of (copy r, path p) to c times that of (r, k), where
 a p = c k).  The surjection's columns p . x_r are built along path prefixes,
-one arrow at a time, and each vertex is eliminated once
+one arrow at a time (modules.path_images), and each vertex is eliminated once
 (ratmat.kernel_rref) for the reduced echelon basis of the kernel.  The
 syzygy is read off that basis and P's arrow images (modules.span_module),
 with the exact stability check; P and the surjection are built only when a
 caller asks for them.  Ext needs no cochain complex: by
 dimension shift, dim Ext^i(m, n) = dim Hom(Omega^i m, n) - dim Hom(P_{i-1}, n)
 + dim Hom(Omega^{i-1} m, n), each Hom dimension the rank count of the one Hom
-system of modules.
+system of modules.  The root modules that the CLI and findim_bounds share,
+the semisimple quotient and the injective cogenerator, are built here once
+each (semisimple_quotient, injective_cogenerator).
 """
 
 from collections import deque
@@ -31,11 +33,11 @@ from functools import cached_property
 from .decompose import registry_for
 from .errors import (BadBudget, InternalConsistencyError, SideMismatch,
                      ZeroModuleError)
-from .modules import (ModMorphism, RepModule, TensorSpace, hom_dim,
-                      module_from_images, projective_images,
-                      projective_layout, projective_module, span_inclusion,
-                      span_module, top_columns)
-from .ratmat import _ONE, _ZERO, QMatrix, _int_row, kernel_rref
+from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
+                      module_from_images, path_images, projective_images,
+                      projective_layout, projective_module, simple_module,
+                      span_inclusion, span_module, top_columns)
+from .ratmat import _ONE, QMatrix, _int_row, kernel_rref
 
 DEFAULT_BUDGET = 24
 
@@ -75,29 +77,6 @@ class ProjectiveCover:
                            self.kernel, self.images)
 
 
-def _lift_images(eng, c, entries, act_columns):
-    """p . x for the unit vector x at column c of the copy's top vertex and
-    every basis path p of its layout entries, as {(target index, column):
-    {row: x}}: each image is the last arrow of p applied to the image of
-    p's prefix (act_columns: the module's arrow matrices as column
-    nonzeros), so no path matrix is formed."""
-    seen = {(): {c: _ONE}}
-    out = {}
-    for i, tv, col in entries:
-        names = eng.basis[i].names
-        for k in range(1, len(names) + 1):
-            if names[:k] in seen:
-                continue
-            cols = act_columns[names[k - 1]]
-            y = {}
-            for j, xj in seen[names[:k - 1]].items():
-                for r, w in cols[j]:
-                    y[r] = y.get(r, _ZERO) + xj * w
-            seen[names[:k]] = {r: x for r, x in y.items() if x}
-        out[tv, col] = seen[names]
-    return out
-
-
 def projective_cover(m):
     """Minimal projective cover of m, with exact minimality checks."""
     eng = m.engine_presentation()
@@ -116,8 +95,9 @@ def projective_cover(m):
     columns = [[None] * d for d in dims]
     act_columns = {name: mat.column_entries() for name, mat in m.act.items()}
     for (_, c), entries in zip(lifts, layout):
-        for (tv, col), y in _lift_images(eng, c, entries, act_columns).items():
-            columns[tv][col] = y
+        images_of = path_images(eng, {c: _ONE}, [i for i, _, _ in entries], act_columns)
+        for i, tv, col in entries:
+            columns[tv][col] = images_of[i]
     # exactness checks on one elimination per vertex: surjective (the rank is
     # the cover's dimension minus the nullity), and kernel inside J * cover
     kernel = []
@@ -419,6 +399,18 @@ def injective_indecomposables(algebra, side):
             for v in algebra.quiver.vertices]
 
 
+def semisimple_quotient(algebra, side):
+    """Lambda/J as a module of the given side: the simples, in vertex order."""
+    return direct_sum([simple_module(algebra, v, side)
+                       for v in algebra.quiver.vertices])[0]
+
+
+def injective_cogenerator(algebra, side):
+    """The minimal injective cogenerator of the given side: the
+    indecomposable injectives, in vertex order."""
+    return direct_sum(injective_indecomposables(algebra, side))[0]
+
+
 def idim_both_sides(algebra, budget=DEFAULT_BUDGET):
     """(left, right) injective dimensions of the regular module, each computed
     as the projective dimension of the dual cogenerator on the other side."""
@@ -446,11 +438,11 @@ def ext_dims(m, n, max_degree):
     """[dim Ext^i(m, n)] for i = 0..max_degree, by dimension shift along the
     minimal resolution of m: with Omega^0 = m and P_{i-1} the cover of
     Omega^{i-1}, 0 -> Hom(Omega^{i-1}, n) -> Hom(P_{i-1}, n) -> Hom(Omega^i, n)
-    -> Ext^i(m, n) -> 0 is exact."""
+    -> Ext^i(m, n) -> 0 is exact.  A negative max_degree raises BadBudget."""
     if m.algebra is not n.algebra or m.side != n.side:
         raise SideMismatch("Ext needs same-side modules over one algebra")
     if max_degree < 0:
-        return []
+        raise BadBudget("budget must be >= 0")
     records = resolve(m, max_degree, classify=False).records
     # Hom(Omega^i, n) and Hom(P_i, n), zero past the end of a finished resolution
     pad = [0] * (max_degree + 1)
@@ -461,6 +453,7 @@ def ext_dims(m, n, max_degree):
 
 
 def poincare_betti_truncated(m, n, max_degree):
-    """Signed coefficients (-1)^i dim Ext^i for i <= max_degree."""
+    """Signed coefficients (-1)^i dim Ext^i for i <= max_degree; a negative
+    max_degree raises BadBudget."""
     ds = ext_dims(m, n, max_degree)
     return [d if i % 2 == 0 else -d for i, d in enumerate(ds)]

@@ -6,11 +6,17 @@ s to the space at t.  A right module stores the matrix the other way around
 (space at t to space at s); that is exactly a left module over the opposite
 presentation, so every algorithm below works on the "engine" view: the
 module's matrices read against engine_presentation() = algebra (left) or
-algebra.opposite() (right).  Null spaces (Hom systems, quotients) are read
-off by ratmat.nullspace, and a kernel module's basis by ratmat.kernel_rref;
-every submodule is built by span_module from a reduced echelon basis.  The
+algebra.opposite() (right).  Hom bases are read off by ratmat.nullspace, and
+a kernel module's basis by ratmat.kernel_rref.  Every subspace is a reduced
+echelon basis [(pivot, {col: x})], and one step, _reduce_along, reduces a
+sparse vector along such a basis into its coefficients at the pivots and a
+residual: a submodule (span_module) reads its coordinates off the
+coefficients and checks that the residual vanishes, a quotient
+(quotient_by_span) reads a class off the residual at the free columns, and
+TensorSpace reduces along the echelon form of its relations.  The
 coordinates of a sum of projectives are laid out once, by projective_layout,
-and its arrow action listed by projective_images.  One linear system,
+its arrow action listed by projective_images, and the images of a vector
+under basis paths walked along path prefixes by path_images.  One linear system,
 _hom_equations, serves Hom and tensor products alike: the bilinearity
 relations of a (x) m are the Hom equations of (m, Da), since
 D(a (x)_Lambda m) = Hom_Lambda(m, Da).
@@ -250,6 +256,30 @@ def projective_images(eng, layout):
     return dims, images
 
 
+def path_images(eng, x, basis_indices, act_columns):
+    """p . x for the sparse vector x ({row: value}) at the source vertex of
+    the basis paths p = eng.basis[i], i in basis_indices, as {i: {row:
+    value}}: each image is the last arrow of p applied to the image of p's
+    prefix (act_columns: a module's arrow matrices as column nonzeros, as
+    projective_images and QMatrix.column_entries list them), so no path
+    matrix is formed."""
+    seen = {(): x}
+    out = {}
+    for i in basis_indices:
+        names = eng.basis[i].names
+        for k in range(1, len(names) + 1):
+            if names[:k] in seen:
+                continue
+            cols = act_columns[names[k - 1]]
+            y = {}
+            for j, xj in seen[names[:k - 1]].items():
+                for r, w in cols[j]:
+                    y[r] = y.get(r, _ZERO) + xj * w
+            seen[names[:k]] = {r: v for r, v in y.items() if v}
+        out[i] = seen[names]
+    return out
+
+
 def module_from_images(algebra, side, dims, images):
     """The module with the given dims whose arrow matrices have the given
     column nonzeros (as projective_images and QMatrix.column_entries list
@@ -344,17 +374,33 @@ def _push(y, cols):
     return z
 
 
+def _reduce_along(z, rows):
+    """Reduce the sparse vector z ({col: x}, changed in place) along a
+    reduced echelon basis given as {pivot: {col: x}}, pivot entry 1: returns
+    (coefficients {pivot: x}, residual z).  The coefficient at pivot p is
+    z[p], since every other row is zero there; the residual, z minus
+    sum_p z[p] row_p, is zero at every pivot, and z lies in the span iff it
+    is zero at the free columns too."""
+    coeffs = {}
+    for p in [p for p in z if p in rows]:
+        zp = z[p]
+        if zp:
+            coeffs[p] = zp
+            for c, x in rows[p].items():
+                z[c] = z.get(c, _ZERO) - zp * x
+    return coeffs, z
+
+
 def span_module(algebra, side, bases, images):
     """The submodule spanned at each vertex by a reduced echelon basis, in
     the coordinates of that basis.
 
     bases[v]: [(pivot, {col: x})] as Echelon.rref_rows() gives it, pivot
     entry 1; images[name][col]: the nonzeros [(col', x)] of the ambient
-    image of column col under the arrow.  A vector y of the span has
-    coordinate y[p] along the row with pivot p, and y lies in the span iff
-    y - sum_p y[p] row_p (zero at every pivot by construction) is zero at
-    the free columns too; every arrow image of a basis row is checked, and
-    IllFormedRelation is raised when one leaves the span.
+    image of column col under the arrow.  Each arrow image of a basis row is
+    reduced along the target's basis (_reduce_along): the coefficients are
+    its coordinates, and IllFormedRelation is raised when a residual is
+    nonzero, i.e. an image leaves the span.
     """
     eng = algebra if side == LEFT else algebra.opposite()
     idx = eng.quiver.index
@@ -367,18 +413,40 @@ def span_module(algebra, side, bases, images):
         cols, position = images[a.name], positions[t]
         coords = [[_ZERO] * dims[s] for _ in range(dims[t])]
         for i, (_, y) in enumerate(bases[s]):
-            z = _push(y, cols)
-            for p in [p for p in z if p in position]:
-                zp = z[p]
-                if zp:
-                    coords[position[p]][i] = zp
-                    for c, x in rows[t][p].items():
-                        z[c] = z.get(c, _ZERO) - zp * x
+            coeffs, z = _reduce_along(_push(y, cols), rows[t])
             if any(z.values()):
                 raise IllFormedRelation(
                     f"subspaces not stable under arrow {a.name!r}")
+            for p, zp in coeffs.items():
+                coords[position[p]][i] = zp
         act[a.name] = QMatrix._of(dims[t], dims[s], coords)
     return RepModule(algebra, side, dims, act, validate=False)
+
+
+def quotient_by_span(algebra, side, dims, bases, images):
+    """The quotient of the module with the given dims and arrow images (as
+    for module_from_images) by the stable subspaces spanned by reduced
+    echelon bases (as for span_module), in the coordinates of the free
+    columns of each basis: the unit vectors there represent a basis of the
+    quotient, and a vector's class is its residual along the basis
+    (_reduce_along), read at the free columns."""
+    eng = algebra if side == LEFT else algebra.opposite()
+    idx = eng.quiver.index
+    rows = [dict(b) for b in bases]
+    free = [[c for c in range(d) if c not in r] for d, r in zip(dims, rows)]
+    positions = [{c: j for j, c in enumerate(f)} for f in free]
+    act = {}
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        cols, position = images[a.name], positions[t]
+        coords = [[_ZERO] * len(free[s]) for _ in free[t]]
+        for j, c in enumerate(free[s]):
+            _, z = _reduce_along(dict(cols[c]), rows[t])
+            for r, x in z.items():
+                if x:
+                    coords[position[r]][j] = x
+        act[a.name] = QMatrix._of(len(free[t]), len(free[s]), coords)
+    return RepModule(algebra, side, [len(f) for f in free], act, validate=False)
 
 
 def span_inclusion(sub, ambient, bases):
@@ -389,10 +457,24 @@ def span_inclusion(sub, ambient, bases):
                         for d, b in zip(ambient.dims, bases)], validate=False)
 
 
+def _images(m):
+    """m's arrow matrices as column nonzeros, as span_module reads them."""
+    return {name: mat.column_entries() for name, mat in m.act.items()}
+
+
+def _row_bases(m, vertex_rows):
+    """The reduced echelon basis of each vertex's row space (QMatrix rows)."""
+    bases = []
+    for v, rows in enumerate(vertex_rows):
+        if rows.ncols != m.dims[v]:
+            raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
+        bases.append(echelon_from_rows(rows._int_rows()).rref_rows())
+    return bases
+
+
 def _span_in(m, bases):
     """(span_module of bases inside m, its inclusion)."""
-    images = {name: mat.column_entries() for name, mat in m.act.items()}
-    sub = span_module(m.algebra, m.side, bases, images)
+    sub = span_module(m.algebra, m.side, bases, _images(m))
     return sub, span_inclusion(sub, m, bases)
 
 
@@ -403,41 +485,14 @@ def submodule(m, vertex_rows):
     Returns (sub_module, inclusion); each basis is the reduced echelon basis
     of its row space (see span_module).
     """
-    bases = []
-    for v, rows in enumerate(vertex_rows):
-        if rows.ncols != m.dims[v]:
-            raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
-        bases.append(echelon_from_rows(rows._int_rows()).rref_rows())
-    return _span_in(m, bases)
+    return _span_in(m, _row_bases(m, vertex_rows))
 
 
 def quotient_module(m, vertex_rows):
-    """Quotient by the submodule spanned by the given rows; returns
-    (quotient, projection)."""
-    eng = m.engine_presentation()
-    idx = eng.quiver.index
-    proj_mats = []
-    sect_mats = []
-    dims = []
-    for v, rows in enumerate(vertex_rows):
-        if rows.ncols != m.dims[v]:
-            raise DimensionMismatch(f"vertex {v}: ambient dimension mismatch")
-        # the projection's rows are the null-space vectors of the submodule's
-        # rows; the section is the unit vectors at their free columns
-        free, kernel = nullspace(rows._int_rows(), m.dims[v])
-        dims.append(len(free))
-        s = QMatrix.zeros(m.dims[v], len(free))
-        for fi, f in enumerate(free):
-            s.data[f][fi] = Frac(1)
-        proj_mats.append(QMatrix(len(free), m.dims[v], kernel))
-        sect_mats.append(s)
-    act = {}
-    for a in eng.quiver.arrows:
-        s_, t_ = idx[a.source], idx[a.target]
-        act[a.name] = proj_mats[t_] * (m.act[a.name] * sect_mats[s_])
-    quo = RepModule(m.algebra, m.side, dims, act, validate=False)
-    projection = ModMorphism(m, quo, proj_mats, validate=False)
-    return quo, projection
+    """Quotient of m by the submodule spanned by the given per-vertex row
+    spaces (must be stable), in the coordinates of quotient_by_span."""
+    return quotient_by_span(m.algebra, m.side, m.dims, _row_bases(m, vertex_rows),
+                            _images(m))
 
 
 def kernel_module(f):
@@ -646,22 +701,26 @@ def hom_dim(m, n):
 # -- tensor products ----------------------------------------------------------
 
 
+def _check_tensor(a_right, m_left):
+    if a_right.algebra is not m_left.algebra:
+        raise AlgebraMismatch("tensor over different algebras")
+    if a_right.side != RIGHT or m_left.side != LEFT:
+        raise SideMismatch("tensor_dim needs (right module, left module)")
+
+
 class TensorSpace:
     """a_right tensor_Lambda m_left as an explicit quotient of the vertexwise
     tensor blocks by the bilinearity relations of the arrows, which are the
     Hom equations of (m_left, a_right.dual())."""
 
     def __init__(self, a_right, m_left):
-        if a_right.algebra is not m_left.algebra:
-            raise AlgebraMismatch("tensor over different algebras")
-        if a_right.side != RIGHT or m_left.side != LEFT:
-            raise SideMismatch("tensor_dim needs (right module, left module)")
+        _check_tensor(a_right, m_left)
         self.a = a_right
         self.m = m_left
         rows, self.offsets, self.raw_dim = _hom_equations(m_left, a_right.dual())
         self.rref = echelon_from_rows(rows).rref_rows()
-        pivs = {c for c, _ in self.rref}
-        self.free = [c for c in range(self.raw_dim) if c not in pivs]
+        self._rows = dict(self.rref)
+        self.free = [c for c in range(self.raw_dim) if c not in self._rows]
         self.free_pos = {c: i for i, c in enumerate(self.free)}
         self.dim = len(self.free)
 
@@ -669,24 +728,15 @@ class TensorSpace:
         return self.offsets[v] + a_index * self.m.dims[v] + m_index
 
     def reduce_raw(self, entries):
-        """Coordinates of a raw vector on the free (quotient) basis."""
-        vec = dict(entries)
-        for c, r in self.rref:
-            val = vec.pop(c, None)
-            if val:
-                for k, rv in r.items():
-                    if k == c:
-                        continue
-                    w = vec.get(k, Frac(0)) - val * rv
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
-        out = [Frac(0)] * self.dim
+        """Coordinates of a raw vector on the free (quotient) basis: its
+        residual along the relations (_reduce_along), read at the free
+        columns."""
+        _, vec = _reduce_along(dict(entries), self._rows)
+        out = [_ZERO] * self.dim
         for c, val in vec.items():
-            out[self.free_pos[c]] = val
+            if val:
+                out[self.free_pos[c]] = val
         return out
-
     def induced_matrix(self, f, target_space):
         """Matrix of (f tensor id): self -> target_space, for f: self.a -> target_space.a."""
         cols = []
@@ -716,5 +766,7 @@ class TensorSpace:
 
 
 def tensor_dim(a_right, m_left):
-    """dim_K of a_right tensor_Lambda m_left, exactly."""
-    return TensorSpace(a_right, m_left).dim
+    """dim_K of a_right tensor_Lambda m_left, exactly: dim Hom(m, Da), the
+    rank count of hom_dim (D(a (x) m) = Hom(m, Da))."""
+    _check_tensor(a_right, m_left)
+    return hom_dim(m_left, a_right.dual())

@@ -133,45 +133,47 @@ def echelon_from_rows(int_rows):
     return ech
 
 
-def nullspace(int_rows, ncols):
-    """Basis of {x : row . x = 0 for every row}, read off the reduced echelon
-    form: one vector per free column f, with 1 at f and minus the pivot rows'
-    f-entries at the pivot columns, filled in one pass over the rref rows'
-    entries.  Returns (free_cols, vectors), the vectors as plain lists of
-    Fractions."""
-    rref = echelon_from_rows(int_rows).rref_rows()
+def _null_basis(rref, ncols):
+    """The null-space basis read off a reduced echelon form: per free column
+    f, by ascending f, the vector {f: 1} with minus the f-entry of each rref
+    row at that row's pivot, filled in one pass over the rows' entries."""
     pivs = {c for c, _ in rref}
-    free = [c for c in range(ncols) if c not in pivs]
-    vectors = {}
-    for f in free:
-        vectors[f] = [_ZERO] * ncols
-        vectors[f][f] = _ONE
+    vectors = {f: {f: _ONE} for f in range(ncols) if f not in pivs}
     for c, r in rref:
         for f, val in r.items():
             if f != c:
                 vectors[f][c] = -val
-    return free, list(vectors.values())
+    return vectors
+
+
+def nullspace(int_rows, ncols):
+    """Basis of {x : row . x = 0 for every row}: the read-off of _null_basis,
+    densified.  Returns (free_cols, vectors), the vectors as plain lists of
+    Fractions."""
+    vectors = _null_basis(echelon_from_rows(int_rows).rref_rows(), ncols)
+    dense = []
+    for y in vectors.values():
+        vec = [_ZERO] * ncols
+        for c, x in y.items():
+            vec[c] = x
+        dense.append(vec)
+    return list(vectors), dense
 
 
 def kernel_rref(int_rows, ncols):
     """Reduced echelon basis of {x : row . x = 0 for every row}, in the form
     of Echelon.rref_rows(): (pivot, {col: Fraction}) by ascending pivot.
 
-    One elimination: the null-space read-off of the rows with their columns
-    reversed, mapped back.  There the vector of free column f has 1 at f and
-    its other entries at pivot columns below f; mapped back, column
+    One elimination: the read-off of _null_basis on the rows with their
+    columns reversed, mapped back.  There the vector of free column f has 1
+    at f and its other entries at pivot columns below f; mapped back, column
     ncols - 1 - f leads it with entry 1 and every other vector is zero
     there, so the vectors form the (unique) RREF."""
     last = ncols - 1
-    rref = echelon_from_rows({last - c: v for c, v in r.items()}
-                             for r in int_rows).rref_rows()
-    pivs = {c for c, _ in rref}
-    vectors = {f: {last - f: _ONE} for f in range(ncols) if f not in pivs}
-    for c, r in rref:
-        for f, val in r.items():
-            if f != c:
-                vectors[f][last - c] = -val
-    return [(last - f, vectors[f]) for f in sorted(vectors, reverse=True)]
+    vectors = _null_basis(echelon_from_rows({last - c: v for c, v in r.items()}
+                                            for r in int_rows).rref_rows(), ncols)
+    return [(last - f, {last - c: x for c, x in vectors[f].items()})
+            for f in reversed(vectors)]
 
 
 class QMatrix:
@@ -323,12 +325,6 @@ class QMatrix:
             return QMatrix(self.ncols, 0)
         return QMatrix._of(self.ncols, self.nrows, [list(col) for col in zip(*self.data)])
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise DimError("column count mismatch in vstack")
-        return QMatrix._of(self.nrows + other.nrows, self.ncols,
-                           self.tolist() + other.tolist())
-
     def _same_shape(self, other):
         if self.shape != other.shape:
             raise DimError(f"shape mismatch {self.shape} vs {other.shape}")
@@ -340,17 +336,6 @@ class QMatrix:
     def rank(self):
         return echelon_from_rows(self._int_rows()).rank
 
-    def row_space(self):
-        """Echelonized basis of the row space, as a QMatrix."""
-        ech = echelon_from_rows(self._int_rows())
-        rows = []
-        for col, r in ech.rref_rows():
-            vec = [_ZERO] * self.ncols
-            for c, v in r.items():
-                vec[c] = v
-            rows.append(vec)
-        return QMatrix._of(len(rows), self.ncols, rows)
-
     def kernel_rows(self):
         """Rows spanning the right null space {x : self * x = 0}."""
         _, rows = nullspace(self._int_rows(), self.ncols)
@@ -358,14 +343,6 @@ class QMatrix:
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise DimError("inverse of a non-square matrix")
-        sol = solve_columns(self, QMatrix.identity(self.nrows))
-        if sol is None:
-            raise DimError("matrix is singular")
-        return sol
 
 
 def rowspace_contains(a, b):
@@ -377,44 +354,3 @@ def rowspace_contains(a, b):
         if ech.reduce(dict(row)):
             return False
     return True
-
-
-def solve_columns(a, b):
-    """Solve a * X = b for X; None if any column is inconsistent."""
-    if a.nrows != b.nrows:
-        raise DimError("row count mismatch in solve")
-    n, k = a.ncols, b.ncols
-    rows = []
-    for i in range(a.nrows):
-        entries = {j: x for j, x in enumerate(a.data[i]) if x}
-        for j in range(k):
-            if b.data[i][j]:
-                entries[n + j] = b.data[i][j]
-        rows.append(_int_row(entries))
-    ech = echelon_from_rows(rows)
-    rref = ech.rref_rows()
-    for c, _ in rref:
-        if c >= n:
-            return None
-    x = QMatrix.zeros(n, k)
-    for c, r in rref:
-        for j in range(k):
-            v = r.get(n + j)
-            if v:
-                x.data[c][j] = v
-    return x
-
-
-def solve_right(a, vec):
-    """Solve a * x = vec for a single vector; None if inconsistent."""
-    b = QMatrix(len(vec), 1, [[v] for v in vec])
-    sol = solve_columns(a, b)
-    if sol is None:
-        return None
-    return sol.column(0)
-
-
-def pivot_columns(rref):
-    """Pivot column of each row of a reduced echelon QMatrix (row_space)."""
-    return [next(j for j, x in enumerate(row) if x) for row in rref.data]
-

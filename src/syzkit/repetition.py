@@ -16,11 +16,11 @@ from fractions import Fraction
 from .decompose import registry_for
 from .errors import (BadBudget, CatalogOpen, InternalConsistencyError,
                      SideMismatch)
-from .homology import (DEFAULT_BUDGET, explore_classes,
+from .homology import (DEFAULT_BUDGET, explore_classes, injective_cogenerator,
                        injective_indecomposables, pdim, recurrence_chain,
-                       tor1_dim)
-from .modules import (RepModule, contains_full_semisimple, direct_sum,
-                      simple_module, tensor_dim, top_counts)
+                       semisimple_quotient, tor1_dim)
+from .modules import (RepModule, contains_full_semisimple, simple_module,
+                      tensor_dim, top_counts)
 from .ratmat import QMatrix, rowspace_contains
 
 Frac = Fraction
@@ -414,12 +414,8 @@ def _test_module_side(algebra, module_side):
     cogenerator, and (when the semisimple quotient embeds) the regular module."""
     from .modules import regular_module
 
-    roots = []
-    simples = [simple_module(algebra, v, module_side) for v in algebra.quiver.vertices]
-    semisimple, _, _ = direct_sum(simples)
-    roots.append(("semisimple-quotient", semisimple, True))
-    cogen, _, _ = direct_sum(injective_indecomposables(algebra, module_side))
-    roots.append(("injective-cogenerator", cogen, False))
+    roots = [("semisimple-quotient", semisimple_quotient(algebra, module_side), True),
+             ("injective-cogenerator", injective_cogenerator(algebra, module_side), False)]
     reg = regular_module(algebra, module_side)
     if contains_full_semisimple(reg):
         roots.append(("regular-module", reg, False))

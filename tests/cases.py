@@ -1,9 +1,13 @@
-"""Shared constructors for the worked examples used across the test suite."""
+"""Shared constructors for the worked examples used across the test suite,
+and frozen dense references that differential tests compare against."""
+
+from fractions import Fraction
 
 from syzkit.algebra import Quiver, Relation, build_algebra
+from syzkit.errors import DimensionMismatch
 from syzkit.modules import radical_filtration
 from syzkit.orders import ExponentMatrix, ValuedQuiver, valued_quiver_from_exponents
-from syzkit.ratmat import QMatrix
+from syzkit.ratmat import _ZERO, QMatrix, _int_row, echelon_from_rows
 
 
 def three_vertex_loop_algebra():
@@ -92,3 +96,94 @@ def dense_rows(bases, dims):
     return [QMatrix.from_rows([[row.get(c, 0) for c in range(d)] for _, row in basis],
                               ncols=d)
             for basis, d in zip(bases, dims)]
+
+
+# -- the dense solve family: frozen references for differential tests ---------
+
+
+def vstack(a, b):
+    """The rows of a followed by the rows of b."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatch("column count mismatch in vstack")
+    return QMatrix._of(a.nrows + b.nrows, a.ncols, a.tolist() + b.tolist())
+
+
+def row_space(a):
+    """Echelonized basis of the row space of a, as a dense QMatrix."""
+    rows = []
+    for _, r in echelon_from_rows(a._int_rows()).rref_rows():
+        vec = [_ZERO] * a.ncols
+        for c, v in r.items():
+            vec[c] = v
+        rows.append(vec)
+    return QMatrix._of(len(rows), a.ncols, rows)
+
+
+def pivot_columns(rref):
+    """Pivot column of each row of a reduced echelon QMatrix (row_space)."""
+    return [next(j for j, x in enumerate(row) if x) for row in rref.data]
+
+
+def solve_columns(a, b):
+    """Solve a * X = b for X by one elimination of the augmented matrix
+    [a | b]; None if any column is inconsistent."""
+    if a.nrows != b.nrows:
+        raise DimensionMismatch("row count mismatch in solve")
+    n, k = a.ncols, b.ncols
+    rows = []
+    for i in range(a.nrows):
+        entries = {j: x for j, x in enumerate(a.data[i]) if x}
+        for j in range(k):
+            if b.data[i][j]:
+                entries[n + j] = b.data[i][j]
+        rows.append(_int_row(entries))
+    rref = echelon_from_rows(rows).rref_rows()
+    if any(c >= n for c, _ in rref):
+        return None
+    x = QMatrix.zeros(n, k)
+    for c, r in rref:
+        for j in range(k):
+            v = r.get(n + j)
+            if v:
+                x.data[c][j] = v
+    return x
+
+
+def solve_right(a, vec):
+    """Solve a * x = vec for a single vector; None if inconsistent."""
+    sol = solve_columns(a, QMatrix(len(vec), 1, [[v] for v in vec]))
+    return None if sol is None else sol.column(0)
+
+
+def inverse(a):
+    """The inverse of a square invertible matrix."""
+    if a.nrows != a.ncols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    sol = solve_columns(a, QMatrix.identity(a.nrows))
+    if sol is None:
+        raise DimensionMismatch("matrix is singular")
+    return sol
+
+
+def nullspace_quotient(m, vertex_rows):
+    """The quotient builder before the echelon read-off: per vertex, the
+    null-space vectors of the submodule's rows as the projection's rows and
+    the unit vectors at their free columns as the section; each arrow acts
+    by the dense triple product projection * action * section."""
+    from syzkit.modules import RepModule
+    from syzkit.ratmat import nullspace
+
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    proj_mats, sect_mats, dims = [], [], []
+    for v, rows in enumerate(vertex_rows):
+        free, kernel = nullspace(rows._int_rows(), m.dims[v])
+        dims.append(len(free))
+        section = QMatrix.zeros(m.dims[v], len(free))
+        for j, f in enumerate(free):
+            section.data[f][j] = Fraction(1)
+        proj_mats.append(QMatrix(len(free), m.dims[v], kernel))
+        sect_mats.append(section)
+    act = {a.name: proj_mats[idx[a.target]] * (m.act[a.name] * sect_mats[idx[a.source]])
+           for a in eng.quiver.arrows}
+    return RepModule(m.algebra, m.side, dims, act, validate=False)

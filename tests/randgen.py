@@ -152,7 +152,7 @@ def random_module(rng, alg, side, max_dim=20):
         vertex_rows = [QMatrix.from_rows(rows[v], ncols=total.dims[v])
                        if rows[v] else QMatrix.zeros(0, total.dims[v])
                        for v in range(nv)]
-        quo, _ = quotient_module(total, vertex_rows)
+        quo = quotient_module(total, vertex_rows)
         if 0 < quo.total_dim <= max_dim:
             quo.verify()
             return quo

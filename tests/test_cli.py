@@ -115,6 +115,41 @@ def test_graph_command(data_dir, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+def test_graph_out_writes_the_rendering(data_dir, tmp_path, capsys):
+    """--out writes the text or DOT rendering to the file instead of stdout."""
+    for extra, marker in (([], "layer 0"), (["--dot"], "digraph")):
+        out = tmp_path / f"graph{len(extra)}.txt"
+        code, doc = run_command([
+            "graph", "--algebra", _data(data_dir, "ex33.alg"),
+            "--module", _data(data_dir, "ex33_m.mod"), "--out", str(out)] + extra)
+        assert (code, doc) == (0, None)
+        assert capsys.readouterr().out == ""
+        text = out.read_text()
+        assert marker in text and text.endswith("\n")
+        code, _ = run_command([
+            "graph", "--algebra", _data(data_dir, "ex33.alg"),
+            "--module", _data(data_dir, "ex33_m.mod")] + extra)
+        assert code == 0 and capsys.readouterr().out == text
+
+
+def test_cli_roots_are_the_findim_test_modules(data_dir):
+    """The CLI's lambda-mod-j and cogenerator roots and the first two test
+    modules of findim_bounds come from one builder each: equal modules."""
+    from syzkit.cli import _root_module
+    from syzkit.formats import parse_algebra
+    from syzkit.repetition import _test_module_side
+
+    with open(_data(data_dir, "ex33.alg")) as fh:
+        alg = parse_algebra(fh.read())
+    for side in ("left", "right"):
+        roots = _test_module_side(alg, side)
+        for t, (_, want, _) in zip(("lambda-mod-j", "cogenerator"), roots):
+            args = build_parser().parse_args(
+                ["rep-index", "--algebra", "x", "--t", t, "--side", side])
+            got, _ = _root_module(args, alg)
+            assert (got.side, got.dims, got.act) == (want.side, want.dims, want.act)
+
+
 def test_order_ingest_writes_alg(data_dir, tmp_path):
     out_alg = tmp_path / "derived.alg"
     code, doc = run_command([
@@ -209,11 +244,12 @@ def test_negative_budget_is_an_error(argv, data_dir, capsys):
 
 def test_negative_budget_api_raises_and_zero_stays_open(ex_three_loop):
     from syzkit.errors import BadBudget
-    from syzkit.homology import pdim, resolve
+    from syzkit.homology import ext_dims, pdim, poincare_betti_truncated, resolve
     from syzkit.modules import simple_module
 
     s = simple_module(ex_three_loop, "1", "left")
-    for call in (lambda: pdim(s, -1), lambda: resolve(s, -1)):
+    for call in (lambda: pdim(s, -1), lambda: resolve(s, -1),
+                 lambda: ext_dims(s, s, -1), lambda: poincare_betti_truncated(s, s, -1)):
         with pytest.raises(BadBudget, match="budget must be >= 0"):
             call()
     assert pdim(s, 0).describe() == "unknown(>= budget 0)"

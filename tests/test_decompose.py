@@ -20,11 +20,12 @@ from syzkit.modules import (ModMorphism, RepModule, direct_sum, hom_basis,
                             top_columns, top_counts, top_map, zero_module)
 from syzkit.orders import (presentation_from_valued_quiver,
                            valued_quiver_from_exponents)
-from syzkit.ratmat import Echelon, QMatrix, _int_row, solve_right
+from syzkit.ratmat import Echelon, QMatrix, _int_row
 from syzkit.repetition import _test_module_side
 
 import cases
 import randgen
+from cases import solve_right
 
 
 def test_end_of_simple_is_field(ex_five):
@@ -712,7 +713,7 @@ def _rebased(rng, m):
         while d and not p.is_invertible():
             p = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
         change.append(p)
-        inverse.append(p.inverse() if d else p)
+        inverse.append(cases.inverse(p) if d else p)
     eng = m.engine_presentation()
     idx = eng.quiver.index
     act = {a.name: change[idx[a.target]] * m.act[a.name] * inverse[idx[a.source]]

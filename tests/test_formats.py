@@ -6,8 +6,11 @@ from syzkit.errors import ParseError
 from syzkit.formats import (emit_algebra, emit_order_exponents,
                             emit_valued_quiver, parse_algebra,
                             parse_algebra_source, parse_module, parse_order)
-from syzkit.modules import simple_module, tensor_dim
+from syzkit.modules import projective_module, simple_module, tensor_dim
 from syzkit.orders import ExponentMatrix, ValuedQuiver
+
+import cases
+import randgen
 
 
 def _read(data_dir, name):
@@ -166,3 +169,121 @@ def test_non_integer_fields_are_positioned_parse_errors(ex_five, text, where, wh
             parse_order(text)
     assert (err.value.line, err.value.column) == where
     assert f"bad {what}" in str(err.value)
+
+
+def test_cokernel_with_no_covers_is_a_positioned_parse_error(ex_five):
+    text = "module {\n  side: left;\n  cokernel {\n    covers: ;\n  }\n}\n"
+    with pytest.raises(ParseError) as err:
+        parse_module(text, ex_five)
+    assert (err.value.line, err.value.column) == (4, 13)
+    assert "covers lists no vertex" in str(err.value)
+
+
+# -- the cokernel builder against a frozen copy of the dense one --------------
+
+
+def _frozen_cokernel(algebra, side, payload):
+    """The cokernel builder before the echelon read-off: the dense direct sum
+    of the cover projectives, each generator's orbit by dense path matrices,
+    and the null-space quotient."""
+    from fractions import Fraction
+
+    from syzkit.modules import direct_sum, projective_layout, projective_module
+    from syzkit.ratmat import QMatrix
+
+    covers = payload["covers"]
+    total, _, _ = direct_sum([projective_module(algebra, v, side) for v in covers])
+    eng = algebra if side == "left" else algebra.opposite()
+    nv = len(algebra.quiver.vertices)
+    columns = [{i: (tv, col) for i, tv, col in entries}
+               for entries in projective_layout(eng, covers)]
+    rows = {v: [] for v in range(nv)}
+    for terms in payload["kills"]:
+        acc = {v: [Fraction(0)] * total.dims[v] for v in range(nv)}
+        for coeff, names, copy in terms:
+            cls = eng.class_of(covers[copy - 1], names)
+            if cls is not None:
+                c, i = cls
+                tv, col = columns[copy - 1][i]
+                acc[tv][col] += coeff * c
+        for v in range(nv):
+            if not any(acc[v]):
+                continue
+            vlabel = eng.quiver.vertices[v]
+            for i in eng.basis_by_source[vlabel]:
+                b = eng.basis[i]
+                img = total.path_action(vlabel, b.names).apply(acc[v])
+                if any(img):
+                    rows[eng.quiver.index[b.target]].append(img)
+    vertex_rows = [QMatrix.from_rows(rows[v], ncols=total.dims[v])
+                   if rows[v] else QMatrix.zeros(0, total.dims[v]) for v in range(nv)]
+    return cases.nullspace_quotient(total, vertex_rows)
+
+
+def _cokernel_payload(text, algebra):
+    """(side, payload) of a cokernel .mod text, as the parser hands them on."""
+    from syzkit import formats
+
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_build_cokernel",
+                   lambda alg, side, payload: seen.append((side, payload)))
+        parse_module(text, algebra)
+    return seen[0]
+
+
+def _random_cokernel_specs(seed, count):
+    """(algebra, side, payload) for seeded random cokernels: one to three
+    cover copies, up to three kill elements of one to three terms, each a
+    random coefficient times a random walk of length <= 3 from its copy's
+    vertex (zero in the algebra or not)."""
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    algebras = randgen.algebra_pool(seed, 6) + randgen.binomial_pool(seed + 1, 4)
+    for k in range(count):
+        alg = algebras[k % len(algebras)]
+        side = rng.choice(("left", "right"))
+        eng = alg if side == "left" else alg.opposite()
+        covers = [rng.choice(alg.quiver.vertices) for _ in range(rng.randint(1, 3))]
+        kills = []
+        for _ in range(rng.randint(0, 3)):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                copy = rng.randint(1, len(covers))
+                at, names = covers[copy - 1], []
+                for _ in range(rng.randint(0, 3)):
+                    out = eng.quiver.arrows_from[at]
+                    if not out:
+                        break
+                    arrow = rng.choice(out)
+                    names.append(arrow.name)
+                    at = arrow.target
+                coeff = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                terms.append((coeff, tuple(names), copy))
+            kills.append(terms)
+        yield alg, side, {"covers": covers, "kills": kills}
+
+
+def test_cokernel_builder_matches_the_frozen_dense_builder(ex_five, data_dir):
+    """Cokernels built from the cover's arrow images and echelon orbits are
+    the modules the dense direct-sum builder gave: the same dims and arrow
+    matrices, on both cokernel .mod files and on seeded random specs."""
+    from syzkit.formats import _build_cokernel
+
+    for name in ("ex33_m.mod", "ex33_w.mod"):
+        text = _read(data_dir, name)
+        side, payload = _cokernel_payload(text, ex_five)
+        got, want = parse_module(text, ex_five), _frozen_cokernel(ex_five, side, payload)
+        assert got.dims == want.dims and got.act == want.act
+    specs = proper = 0
+    for alg, side, payload in _random_cokernel_specs(0xC0C, 120):
+        got = _build_cokernel(alg, side, payload)
+        want = _frozen_cokernel(alg, side, payload)
+        assert got.dims == want.dims and got.act == want.act
+        specs += 1
+        total = sum(sum(p.dims) for p in (
+            projective_module(alg, v, side) for v in payload["covers"]))
+        proper += 0 < got.total_dim < total
+    assert specs >= 100 and proper >= 30

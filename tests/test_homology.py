@@ -329,17 +329,17 @@ def _frozen_submodule(m, vertex_rows):
     dense row_space bases, each arrow's image as a dense product, the
     coordinates read at the target's pivots."""
     from syzkit.modules import RepModule
-    from syzkit.ratmat import QMatrix, pivot_columns
+    from syzkit.ratmat import QMatrix
 
     eng = m.engine_presentation()
     idx = eng.quiver.index
-    bases = [rows.row_space() for rows in vertex_rows]
+    bases = [cases.row_space(rows) for rows in vertex_rows]
     dims = [b.nrows for b in bases]
     act = {}
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
         img = m.act[a.name] * bases[s].transpose()
-        coords = QMatrix(dims[t], dims[s], [img.data[p] for p in pivot_columns(bases[t])])
+        coords = QMatrix(dims[t], dims[s], [img.data[p] for p in cases.pivot_columns(bases[t])])
         assert bases[t].transpose() * coords == img
         act[a.name] = coords
     return RepModule(m.algebra, m.side, dims, act, validate=False)
@@ -448,7 +448,7 @@ def test_mutated_kernel_row_fails_the_stability_check():
     import pytest
     import randgen
     from syzkit.errors import IllFormedRelation
-    from syzkit.ratmat import QMatrix, solve_columns
+    from syzkit.ratmat import QMatrix
 
     def spans_a_submodule(cov):
         dense = [QMatrix.from_rows([[r.get(c, 0) for c in range(d)] for _, r in b],
@@ -456,7 +456,7 @@ def test_mutated_kernel_row_fails_the_stability_check():
                  for b, d in zip(cov.kernel, cov.dims)]
         eng = cov.module.engine_presentation()
         idx = eng.quiver.index
-        return all(solve_columns(dense[idx[a.target]],
+        return all(cases.solve_columns(dense[idx[a.target]],
                                  cov.module.act[a.name] * dense[idx[a.source]])
                    is not None for a in eng.quiver.arrows)
 

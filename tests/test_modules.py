@@ -8,10 +8,11 @@ from syzkit.modules import (RepModule, direct_sum, hom_basis, projective_layout,
                             projective_module, radical_filtration,
                             radical_series_rows, simple_module, socle_counts,
                             submodule, tensor_dim, top_counts)
-from syzkit.ratmat import QMatrix, solve_columns
+from syzkit.ratmat import QMatrix
 
 import cases
 import randgen
+from cases import pivot_columns, row_space, solve_columns, solve_right
 
 
 def test_left_projectives_five_vertex(ex_five):
@@ -90,7 +91,7 @@ def test_submodule_coordinates_match_a_solve():
                                                  for _ in range(rng.randint(0, d))], ncols=d)
                               for d in m.dims])
             for rows in tries:
-                bases = [r.row_space() for r in rows]
+                bases = [row_space(r) for r in rows]
                 want = {name: solve_columns(bases[t].transpose(),
                                             m.act[name] * bases[s].transpose())
                         for name, s, t in eng_arrows}
@@ -158,7 +159,6 @@ def test_end_contains_identity(ex_five):
     flat_rows = QMatrix.from_rows([list(f.flatten()) for f in basis],
                                   ncols=len(basis[0].flatten()))
     from syzkit.modules import identity_morphism
-    from syzkit.ratmat import solve_right
 
     ident = list(identity_morphism(m).flatten())
     assert solve_right(flat_rows.transpose(), ident) is not None
@@ -396,7 +396,7 @@ def _conjugated(rng, m):
                 lower.data[i][j] = Fraction(rng.randint(-2, 2))
                 upper.data[j][i] = Fraction(rng.randint(-2, 2))
         change.append(lower * upper)
-    act = {a.name: change[idx[a.target]] * m.act[a.name] * change[idx[a.source]].inverse()
+    act = {a.name: change[idx[a.target]] * m.act[a.name] * cases.inverse(change[idx[a.source]])
            for a in eng.quiver.arrows}
     return RepModule(m.algebra, m.side, m.dims, act)
 
@@ -461,7 +461,7 @@ def test_hom_system_and_nullspace_match_dense_reference():
 def _frozen_stack(mats):
     out = mats[0]
     for m in mats[1:]:
-        out = out.vstack(m)
+        out = cases.vstack(out, m)
     return out
 
 
@@ -475,7 +475,7 @@ def _frozen_radical_of(m, layer):
         s, t = idx[a.source], idx[a.target]
         if layer[s].nrows:
             pieces[t].append((m.act[a.name] * layer[s].transpose()).transpose())
-    return [_frozen_stack(pieces[v]).row_space() if pieces[v] else QMatrix.zeros(0, d)
+    return [row_space(_frozen_stack(pieces[v])) if pieces[v] else QMatrix.zeros(0, d)
             for v, d in enumerate(m.dims)]
 
 
@@ -489,7 +489,7 @@ def _frozen_radical_rows(m):
         mat = m.act[a.name]
         if mat.nrows and mat.ncols:
             pieces[idx[a.target]].append(mat.transpose())
-    return [_frozen_stack(pieces[v]).row_space() if pieces[v] else QMatrix.zeros(0, d)
+    return [row_space(_frozen_stack(pieces[v])) if pieces[v] else QMatrix.zeros(0, d)
             for v, d in enumerate(m.dims)]
 
 
@@ -515,8 +515,6 @@ def _frozen_socle_counts(m):
 
 def _frozen_top_reader(m):
     """The former top reader: a pivot_columns scan of the dense radical rows."""
-    from syzkit.ratmat import pivot_columns
-
     reader = []
     for d, rows in zip(m.dims, _frozen_radical_rows(m)):
         pivots = pivot_columns(rows)
@@ -531,7 +529,7 @@ def _frozen_top_reader(m):
 def _frozen_layered_graph(m):
     """The former layered_graph: its adapted basis read off the dense series."""
     from syzkit.graphs import LayeredGraph
-    from syzkit.ratmat import _int_row, echelon_from_rows, solve_right
+    from syzkit.ratmat import _int_row, echelon_from_rows
 
     series = _frozen_radical_series_rows(m)
     nv = len(m.dims)
@@ -594,7 +592,7 @@ def _rebased(rng, m):
         change.append(p)
     eng = m.engine_presentation()
     idx = eng.quiver.index
-    act = {a.name: change[idx[a.target]] * m.act[a.name] * change[idx[a.source]].inverse()
+    act = {a.name: change[idx[a.target]] * m.act[a.name] * cases.inverse(change[idx[a.source]])
            for a in eng.quiver.arrows}
     return RepModule(m.algebra, m.side, m.dims, act)
 
@@ -628,7 +626,6 @@ def test_echelon_radical_matches_the_frozen_dense_radical():
     the layered graph's text and DOT are those of the frozen dense code."""
     from syzkit.graphs import layered_graph
     from syzkit.modules import _top_reader, radical_rows
-    from syzkit.ratmat import pivot_columns
 
     modules = deep = reduced = 0
     for m in _radical_pool_modules():
@@ -650,3 +647,49 @@ def test_echelon_radical_matches_the_frozen_dense_radical():
         deep += len(got) > 3
         reduced += any(pivot_rows for _, pivot_rows in _top_reader(m))
     assert modules >= 400 and deep >= 100 and reduced >= 40
+
+
+# -- quotients against a frozen copy of the null-space quotient ---------------
+
+
+def _generated_rows(rng, m):
+    """Dense rows spanning the submodule of m generated by one or two random
+    vectors: every basis path applied to each."""
+    eng = m.engine_presentation()
+    verts = eng.quiver.vertices
+    rows = [[] for _ in m.dims]
+    for _ in range(rng.randint(1, 2)):
+        v = rng.randrange(len(verts))
+        vec = [Fraction(rng.randint(-2, 2)) for _ in range(m.dims[v])]
+        for i in eng.basis_by_source[verts[v]]:
+            b = eng.basis[i]
+            rows[eng.quiver.index[b.target]].append(m.path_action(verts[v], b.names).apply(vec))
+    return [QMatrix.from_rows(r, ncols=d) if r else QMatrix.zeros(0, d)
+            for r, d in zip(rows, m.dims)]
+
+
+def test_quotient_module_matches_the_frozen_nullspace_quotient():
+    """quotient_module reads each class as a residual along the submodule's
+    reduced echelon basis; its dims and arrow matrices must be those of the
+    dense null-space quotient, on random pool modules modulo their radical
+    layers and modulo randomly generated submodules."""
+    from syzkit.modules import quotient_module
+
+    rng = random.Random(0x9A0)
+    algebras = randgen.algebra_pool(0x9A1, 6) + randgen.binomial_pool(0x9A2, 4)
+    quotients = proper = 0
+    for alg in algebras:
+        for side in ("left", "right"):
+            for _ in range(2):
+                m = randgen.random_module(rng, alg, side)
+                tries = [cases.dense_rows(layer, m.dims)
+                         for layer in radical_series_rows(m)]
+                tries += [_generated_rows(rng, m) for _ in range(3)]
+                for rows in tries:
+                    got = quotient_module(m, rows)
+                    want = cases.nullspace_quotient(m, rows)
+                    assert got.dims == want.dims and got.act == want.act
+                    got.verify()
+                    quotients += 1
+                    proper += 0 < got.total_dim < m.total_dim
+    assert quotients >= 150 and proper >= 50
