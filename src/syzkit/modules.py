@@ -6,28 +6,33 @@ s to the space at t.  A right module stores the matrix the other way around
 (space at t to space at s); that is exactly a left module over the opposite
 presentation, so every algorithm below works on the "engine" view: the
 module's matrices read against engine_presentation() = algebra (left) or
-algebra.opposite() (right).  Hom bases are read off by ratmat.nullspace, and
-a kernel module's basis by ratmat.kernel_rref.  Every subspace is a reduced
-echelon basis [(pivot, {col: x})], and one step, _reduce_along, reduces a
-sparse vector along such a basis into its coefficients at the pivots and a
-residual: a submodule (span_module) reads its coordinates off the
-coefficients and checks that the residual vanishes, a quotient
-(quotient_by_span) reads a class off the residual at the free columns, and
+algebra.opposite() (right).  A kernel module's basis is read off by
+ratmat.kernel_rref.  Every subspace is a reduced echelon basis [(pivot,
+{col: x})], and one step, _reduce_along, reduces a sparse vector along such a
+basis into its coefficients at the pivots and a residual: a submodule
+(span_module) reads its coordinates off the coefficients, a quotient
+(quotient_by_span) reads a class off the residual at the free columns, both
+check that the arrow images of the basis rows leave a zero residual, and
 TensorSpace reduces along the echelon form of its relations.  The
 coordinates of a sum of projectives are laid out once, by projective_layout,
 its arrow action listed by projective_images, and the images of a vector
-under basis paths walked along path prefixes by path_images.  One linear system,
-_hom_equations, serves Hom and tensor products alike: the bilinearity
-relations of a (x) m are the Hom equations of (m, Da), since
-D(a (x)_Lambda m) = Hom_Lambda(m, Da).
+under basis paths walked along path prefixes by path_images.  One linear
+system, _hom_equations, serves Hom and tensor products alike: the
+bilinearity relations of a (x) m are the Hom equations of (m, Da), since
+D(a (x)_Lambda m) = Hom_Lambda(m, Da).  Its rows are built in integers, and
+hom_basis reads the sparse null vectors of ratmat._null_basis straight into
+morphisms that carry column nonzeros: their dense matrices are built only
+on demand (ModMorphism.mats), and top_map reads only the columns at the
+top, so an End ring that turns out local builds no dense matrix.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import (_ONE, _ZERO, Echelon, QMatrix, _int_row, echelon_from_rows,
-                     kernel_rref, nullspace)
+from .ratmat import (_ONE, _ZERO, Echelon, QMatrix, _int_row, _null_basis,
+                     echelon_from_rows, kernel_rref)
 
 Frac = Fraction
 
@@ -131,23 +136,53 @@ class RepModule:
 
 
 class ModMorphism:
-    """A module morphism as one matrix per vertex, intertwining all arrow actions."""
+    """A module morphism as one matrix per vertex, intertwining all arrow
+    actions.  A morphism read off a Hom basis holds its matrices as column
+    nonzeros (_of_columns) and builds the dense mats on first access;
+    column_entries reads a column from either form."""
 
-    __slots__ = ("source", "target", "mats")
+    __slots__ = ("source", "target", "_mats", "_cols")
 
     def __init__(self, source, target, mats, validate=True):
         if source.algebra is not target.algebra or source.side != target.side:
             raise AlgebraMismatch("morphism endpoints over different algebras or sides")
         self.source = source
         self.target = target
-        self.mats = list(mats)
-        for v, m in enumerate(self.mats):
+        self._mats = list(mats)
+        self._cols = None
+        for v, m in enumerate(self._mats):
             if m.shape != (target.dims[v], source.dims[v]):
                 raise DimensionMismatch(
                     f"vertex {v}: matrix {m.shape}, expected "
                     f"{(target.dims[v], source.dims[v])}")
         if validate:
             self.verify()
+
+    @classmethod
+    def _of_columns(cls, source, target, cols):
+        """The morphism whose vertex-v matrix has the column nonzeros
+        cols[v] (as QMatrix.column_entries lists them); not validated."""
+        f = object.__new__(cls)
+        f.source, f.target, f._mats, f._cols = source, target, None, cols
+        return f
+
+    @property
+    def mats(self):
+        """The dense matrix at each vertex, built on first access."""
+        if self._mats is None:
+            self._mats = self._densify()
+        return self._mats
+
+    def _densify(self):
+        return [QMatrix.from_column_entries(d, cols)
+                for d, cols in zip(self.target.dims, self._cols)]
+
+    def column_entries(self, v, c):
+        """The nonzeros [(row, x)] of column c of the vertex-v matrix, by
+        ascending row."""
+        if self._cols is not None:
+            return self._cols[v][c]
+        return [(i, row[c]) for i, row in enumerate(self._mats[v].data) if row[c]]
 
     def verify(self):
         eng = self.source.engine_presentation()
@@ -391,6 +426,21 @@ def _reduce_along(z, rows):
     return coeffs, z
 
 
+def _span_coordinates(name, basis, cols, rows):
+    """For each row of a reduced echelon basis at an arrow's source, the
+    coefficients {pivot: x} of its image (pushed through the arrow's column
+    nonzeros cols) along the target's basis rows {pivot: {col: x}}; raises
+    IllFormedRelation when a residual is nonzero, i.e. an image leaves the
+    span."""
+    out = []
+    for _, y in basis:
+        coeffs, z = _reduce_along(_push(y, cols), rows)
+        if any(z.values()):
+            raise IllFormedRelation(f"subspaces not stable under arrow {name!r}")
+        out.append(coeffs)
+    return out
+
+
 def span_module(algebra, side, bases, images):
     """The submodule spanned at each vertex by a reduced echelon basis, in
     the coordinates of that basis.
@@ -398,9 +448,9 @@ def span_module(algebra, side, bases, images):
     bases[v]: [(pivot, {col: x})] as Echelon.rref_rows() gives it, pivot
     entry 1; images[name][col]: the nonzeros [(col', x)] of the ambient
     image of column col under the arrow.  Each arrow image of a basis row is
-    reduced along the target's basis (_reduce_along): the coefficients are
-    its coordinates, and IllFormedRelation is raised when a residual is
-    nonzero, i.e. an image leaves the span.
+    reduced along the target's basis (_span_coordinates): the coefficients
+    are its coordinates, and IllFormedRelation is raised when an image
+    leaves the span.
     """
     eng = algebra if side == LEFT else algebra.opposite()
     idx = eng.quiver.index
@@ -410,13 +460,10 @@ def span_module(algebra, side, bases, images):
     act = {}
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
-        cols, position = images[a.name], positions[t]
+        position = positions[t]
         coords = [[_ZERO] * dims[s] for _ in range(dims[t])]
-        for i, (_, y) in enumerate(bases[s]):
-            coeffs, z = _reduce_along(_push(y, cols), rows[t])
-            if any(z.values()):
-                raise IllFormedRelation(
-                    f"subspaces not stable under arrow {a.name!r}")
+        for i, coeffs in enumerate(_span_coordinates(a.name, bases[s],
+                                                     images[a.name], rows[t])):
             for p, zp in coeffs.items():
                 coords[position[p]][i] = zp
         act[a.name] = QMatrix._of(dims[t], dims[s], coords)
@@ -425,11 +472,13 @@ def span_module(algebra, side, bases, images):
 
 def quotient_by_span(algebra, side, dims, bases, images):
     """The quotient of the module with the given dims and arrow images (as
-    for module_from_images) by the stable subspaces spanned by reduced
-    echelon bases (as for span_module), in the coordinates of the free
-    columns of each basis: the unit vectors there represent a basis of the
-    quotient, and a vector's class is its residual along the basis
-    (_reduce_along), read at the free columns."""
+    for module_from_images) by the subspaces spanned by reduced echelon
+    bases (as for span_module), in the coordinates of the free columns of
+    each basis: the unit vectors there represent a basis of the quotient,
+    and a vector's class is its residual along the basis (_reduce_along),
+    read at the free columns.  The subspaces must form a submodule: as in
+    span_module, IllFormedRelation is raised when an arrow image of a basis
+    row leaves the span."""
     eng = algebra if side == LEFT else algebra.opposite()
     idx = eng.quiver.index
     rows = [dict(b) for b in bases]
@@ -439,6 +488,7 @@ def quotient_by_span(algebra, side, dims, bases, images):
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
         cols, position = images[a.name], positions[t]
+        _span_coordinates(a.name, bases[s], cols, rows[t])
         coords = [[_ZERO] * len(free[s]) for _ in free[t]]
         for j, c in enumerate(free[s]):
             _, z = _reduce_along(dict(cols[c]), rows[t])
@@ -490,7 +540,8 @@ def submodule(m, vertex_rows):
 
 def quotient_module(m, vertex_rows):
     """Quotient of m by the submodule spanned by the given per-vertex row
-    spaces (must be stable), in the coordinates of quotient_by_span."""
+    spaces (must be stable: IllFormedRelation otherwise), in the coordinates
+    of quotient_by_span."""
     return quotient_by_span(m.algebra, m.side, m.dims, _row_bases(m, vertex_rows),
                             _images(m))
 
@@ -532,23 +583,31 @@ def _radical_of(m, bases):
 
 
 def _radical_record(m):
-    """(radical_rows(m), top reader), computed once per module (modules are
-    never mutated).  The reader holds per vertex (free columns, pivot rows):
-    the unit vectors at the free columns represent a basis of M/JM, and
-    modulo JM the unit vector at pivot p is -sum_i R_p[free[i]] times top
-    generator i, kept as (p, [(i, R_p[free[i]])]) by ascending i when some
-    term is nonzero."""
+    """(radical_rows(m), top reader, row reader), computed once per module
+    (modules are never mutated).  The top reader holds per vertex (free
+    columns, pivot rows): the unit vectors at the free columns represent a
+    basis of M/JM, and modulo JM the unit vector at pivot p is -sum_i
+    R_p[free[i]] times top generator i, kept as (p, [(i, R_p[free[i]])]) by
+    ascending i when some term is nonzero.  The row reader holds the same
+    per vertex as one tuple indexed by row, for top_map: the position i of
+    a free column, and the terms of a pivot row (() when it has none)."""
     if m._radical is None:
         rows = _radical_of(m, _unit_rows(m))
-        reader = []
+        reader, by_row = [], []
         for d, basis in zip(m.dims, rows):
             pivots = {p for p, _ in basis}
             free = [c for c in range(d) if c not in pivots]
-            position = {c: i for i, c in enumerate(free)}
-            terms = [(p, sorted((position[c], x) for c, x in row.items() if c != p))
+            at = [()] * d
+            for i, c in enumerate(free):
+                at[c] = i
+            terms = [(p, sorted((at[c], x) for c, x in row.items() if c != p))
                      for p, row in basis]
-            reader.append((free, [(p, t) for p, t in terms if t]))
-        m._radical = (rows, tuple(reader))
+            pivot_rows = [(p, t) for p, t in terms if t]
+            for p, t in pivot_rows:
+                at[p] = t
+            reader.append((free, pivot_rows))
+            by_row.append(tuple(at))
+        m._radical = (rows, tuple(reader), tuple(by_row))
     return m._radical
 
 
@@ -571,27 +630,23 @@ def top_columns(m):
 def top_map(f):
     """The map top(m) -> top(n) induced by f: m -> n (f maps Jm into Jn), as
     {(v, i, j): x}: the coefficient of top generator i of n in the image of
-    top generator j of m, generators as in _top_reader.  f-bar is read on f's
-    columns at the free columns of m, reduced modulo Jn; top_map(g o f) is
+    top generator j of m, generators as in _radical_record.  f-bar is read on
+    f's columns at the free columns of m (ModMorphism.column_entries), each
+    nonzero reduced modulo Jn by n's row reader; top_map(g o f) is
     top_map(g) top_map(f)."""
+    _, target_reader, target_rows = _radical_record(f.target)
     out = {}
-    for v, ((sources, _), (free, pivot_rows)) in enumerate(
-            zip(_top_reader(f.source), _top_reader(f.target))):
+    for v, ((sources, _), (free, _), at) in enumerate(
+            zip(_top_reader(f.source), target_reader, target_rows)):
         if not sources or not free:
             continue
-        cols = list(zip(*f.mats[v].data))
         for j, c in enumerate(sources):
-            col = cols[c]
-            if col.count(_ZERO) == len(col):    # most columns: scanned in C
-                continue
-            for i, r in enumerate(free):
-                y = col[r]
-                if y is not _ZERO and y:
-                    out[v, i, j] = y
-            for p, terms in pivot_rows:
-                y = col[p]
-                if y is not _ZERO and y:
-                    for i, x in terms:
+            for r, y in f.column_entries(v, c):
+                hit = at[r]
+                if hit.__class__ is int:      # free row r: top generator hit
+                    out[v, hit, j] = out.get((v, hit, j), _ZERO) + y
+                else:
+                    for i, x in hit:
                         out[v, i, j] = out.get((v, i, j), _ZERO) - y * x
     return {q: x for q, x in out.items() if x}
 
@@ -640,8 +695,11 @@ def _hom_equations(m, n):
 
     Unknown offsets[v] + i * m.dims[v] + j is entry (i, j) of the vertex-v
     matrix; one row per arrow a: s -> t and entry (i, k) of
-    f_t m_a - n_a f_s = 0.  The bilinearity relations of a tensor a (x) m are
-    the rows of (m, a.dual()), in the same coordinates (D(a (x) m) = Hom(m, Da)).
+    f_t m_a - n_a f_s = 0, as coprime integers.  The rows are built in
+    integers: m_a and n_a are scaled by the least common denominator of
+    their entries, and each row is divided by the gcd of its entries.  The
+    bilinearity relations of a tensor a (x) m are the rows of (m, a.dual()),
+    in the same coordinates (D(a (x) m) = Hom(m, Da)).
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Hom over different algebras")
@@ -662,6 +720,11 @@ def _hom_equations(m, n):
         ma_cols = m.act[a.name].column_entries()
         na_rows = [[(j, x) for j, x in enumerate(row) if x]
                    for row in n.act[a.name].data]
+        lcd = lcm(*{x.denominator for col in ma_cols + na_rows for _, x in col})
+        ma_cols = [[(j, x.numerator * (lcd // x.denominator)) for j, x in col]
+                   for col in ma_cols]
+        na_rows = [[(j, -x.numerator * (lcd // x.denominator)) for j, x in row]
+                   for row in na_rows]
         wt, ws = m.dims[t], m.dims[s]
         for i, na_row in enumerate(na_rows):
             base = offsets[t] + i * wt        # unknowns (t, i, j)
@@ -669,26 +732,40 @@ def _hom_equations(m, n):
                 entries = {base + j: x for j, x in ma_col}
                 for j, x in na_row:
                     key = offsets[s] + j * ws + k  # unknown (s, j, k)
-                    entries[key] = entries.get(key, _ZERO) - x
-                if entries:
-                    rows.append(_int_row(entries))
+                    entries[key] = entries.get(key, 0) + x
+                if not entries:
+                    continue
+                if len(entries) < len(ma_col) + len(na_row):
+                    # a loop whose two halves met on one unknown
+                    entries = {c: x for c, x in entries.items() if x}
+                g = gcd(*entries.values())
+                if g > 1:
+                    entries = {c: x // g for c, x in entries.items()}
+                rows.append(entries)
     return rows, offsets, off
 
 
 def hom_basis(m, n):
-    """Basis of Hom(m, n) as ModMorphisms (same algebra and side required)."""
+    """Basis of Hom(m, n) as ModMorphisms (same algebra and side required),
+    read off the sparse null vectors of the Hom system and kept as column
+    nonzeros (ModMorphism._of_columns)."""
     rows, offsets, total = _hom_equations(m, n)
     if total == 0:
         return []
+    # unknown -> (vertex, row, column), as _hom_equations numbers them
+    where = [(v, i, j) for v, w in enumerate(m.dims)
+             for i in range(n.dims[v]) for j in range(w)]
     basis = []
-    for flat in nullspace(rows, total)[1]:
-        mats = []
-        for v in range(len(m.dims)):
-            o, w = offsets[v], m.dims[v]   # row i of block v: unknowns (v, i, 0..w)
-            mats.append(QMatrix._of(n.dims[v], w,
-                                    [flat[o + i * w:o + (i + 1) * w]
-                                     for i in range(n.dims[v])]))
-        basis.append(ModMorphism(m, n, mats, validate=False))
+    for y in _null_basis(echelon_from_rows(rows).rref_rows(), total).values():
+        cols = [[()] * w for w in m.dims]   # () for an empty column
+        for u, x in sorted(y.items()):      # ascending rows within each column
+            v, i, j = where[u]
+            col = cols[v][j]
+            if col:
+                col.append((i, x))
+            else:
+                cols[v][j] = [(i, x)]
+        basis.append(ModMorphism._of_columns(m, n, cols))
     return basis
 
 

@@ -187,3 +187,46 @@ def nullspace_quotient(m, vertex_rows):
     act = {a.name: proj_mats[idx[a.target]] * (m.act[a.name] * sect_mats[idx[a.source]])
            for a in eng.quiver.arrows}
     return RepModule(m.algebra, m.side, dims, act, validate=False)
+
+
+def dense_hom_basis(m, n):
+    """The Hom basis builder before sparse morphisms: the Hom system in
+    Fractions, each row scaled to integers by _int_row, the null space
+    densified by ratmat.nullspace and cut into dense blocks per vertex."""
+    from syzkit.modules import ModMorphism
+    from syzkit.ratmat import nullspace
+
+    offsets, off = [], 0
+    for v in range(len(m.dims)):
+        offsets.append(off)
+        off += n.dims[v] * m.dims[v]
+    eng = m.engine_presentation()
+    idx = eng.quiver.index
+    rows = []
+    for a in eng.quiver.arrows:
+        s, t = idx[a.source], idx[a.target]
+        ma_cols = m.act[a.name].column_entries()
+        na_rows = [[(j, x) for j, x in enumerate(row) if x]
+                   for row in n.act[a.name].data]
+        wt, ws = m.dims[t], m.dims[s]
+        for i, na_row in enumerate(na_rows):
+            base = offsets[t] + i * wt
+            for k, ma_col in enumerate(ma_cols):
+                entries = {base + j: x for j, x in ma_col}
+                for j, x in na_row:
+                    key = offsets[s] + j * ws + k
+                    entries[key] = entries.get(key, _ZERO) - x
+                if entries:
+                    rows.append(_int_row(entries))
+    if off == 0:
+        return []
+    basis = []
+    for flat in nullspace(rows, off)[1]:
+        mats = []
+        for v in range(len(m.dims)):
+            o, w = offsets[v], m.dims[v]
+            mats.append(QMatrix._of(n.dims[v], w,
+                                    [flat[o + i * w:o + (i + 1) * w]
+                                     for i in range(n.dims[v])]))
+        basis.append(ModMorphism(m, n, mats, validate=False))
+    return basis

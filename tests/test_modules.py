@@ -455,6 +455,72 @@ def test_hom_system_and_nullspace_match_dense_reference():
     assert collisions >= 5
 
 
+# -- sparse Hom bases against a frozen copy of the dense builder ---------------
+
+
+def _hom_pairs():
+    """(M, N) pairs: projectives, an injective, Omega^1 of a simple and a
+    random module of seeded monomial and binomial algebras and of the tiled
+    orders in cases, both sides; then Omega^1 ... Omega^14 of loc.alg's
+    simple against itself and its successor (the End rings of the
+    syzygy-type benchmark)."""
+    from syzkit.homology import injective_indecomposables, syzygy
+    from syzkit.orders import presentation_from_valued_quiver
+
+    rng = random.Random(0x20C)
+    algebras = (randgen.algebra_pool(0x20A, 4) + randgen.binomial_pool(0x20B, 3)
+                + [presentation_from_valued_quiver(cases.six_vertex_order_quiver()),
+                   presentation_from_valued_quiver(cases.gorenstein_order_quiver())])
+    for alg in algebras:
+        for side in ("left", "right"):
+            verts = alg.quiver.vertices
+            mods = ([projective_module(alg, v, side) for v in verts[:2]]
+                    + injective_indecomposables(alg, side)[:1]
+                    + [syzygy(simple_module(alg, verts[-1], side)),
+                       randgen.random_module(rng, alg, side)])
+            for m in mods:
+                for n in mods:
+                    yield m, n
+    loc = cases.local_two_loop_algebra()
+    omega = syzygy(simple_module(loc, "1", "left"))
+    for _ in range(14):
+        successor = syzygy(omega)
+        yield omega, omega
+        yield omega, successor
+        omega = successor
+
+
+def test_hom_basis_matches_the_frozen_dense_hom_basis():
+    """hom_basis keeps its morphisms as column nonzeros: the same basis, in
+    the same order and with the same matrices as the frozen dense builder;
+    top_map reads a sparse morphism without densifying it and agrees with
+    its dense copy, as does every column read; every basis morphism
+    intertwines the arrows."""
+    from syzkit.modules import ModMorphism, top_map
+
+    pairs = morphisms = nonzero_tops = 0
+    largest = 0
+    for m, n in _hom_pairs():
+        got, want = hom_basis(m, n), cases.dense_hom_basis(m, n)
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            top = top_map(f)
+            assert f._mats is None
+            assert f.mats == g.mats
+            dense = ModMorphism(f.source, f.target, f.mats)
+            assert top_map(dense) == top
+            assert all(list(f.column_entries(v, c)) == dense.column_entries(v, c)
+                       for v, d in enumerate(m.dims) for c in range(d))
+            f.verify()
+            nonzero_tops += bool(top)
+        pairs += 1
+        morphisms += len(got)
+        largest = max(largest, len(got))
+    assert pairs >= 100
+    assert morphisms >= 2000 and nonzero_tops >= 200
+    assert largest >= 200
+
+
 # -- the echelon radical against frozen copies of the dense one ---------------
 
 
@@ -693,3 +759,21 @@ def test_quotient_module_matches_the_frozen_nullspace_quotient():
                     quotients += 1
                     proper += 0 < got.total_dim < m.total_dim
     assert quotients >= 150 and proper >= 50
+
+
+def test_quotient_by_a_subspace_that_is_not_a_submodule_is_refused(ex_five):
+    """P_4 of the five-vertex example, dims (0,0,1,3,0), modulo the span of
+    its top vector alone: the arrows take that vector out of the span, so
+    the quotient is refused instead of a module of dims (0,0,1,2,0); modulo
+    its radical it is the simple S_4."""
+    from syzkit.modules import quotient_module, top_columns
+
+    p4 = projective_module(ex_five, "4", "left")
+    assert p4.dims == (0, 0, 1, 3, 0)
+    rows = [QMatrix.zeros(0, d) for d in p4.dims]
+    (top,) = top_columns(p4)[3]
+    rows[3] = QMatrix.from_rows([[1 if c == top else 0 for c in range(3)]])
+    with pytest.raises(IllFormedRelation):
+        quotient_module(p4, rows)
+    radical = cases.dense_rows(radical_series_rows(p4)[1], p4.dims)
+    assert quotient_module(p4, radical).dims == (0, 0, 0, 1, 0)

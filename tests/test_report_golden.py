@@ -80,3 +80,60 @@ def test_deep_syzygy_type_matches_bench_answer(capsys):
     capsys.readouterr()
     assert code == want["exit"] == 2
     assert json.loads(json.dumps(_project(doc))) == want["projection"]
+
+
+def _record_work(monkeypatch):
+    """Record the Hom-basis morphisms whose dense matrices get built, the
+    End-ring bases that reach the split candidates, and the Hom-basis
+    morphisms built, without changing what runs."""
+    from syzkit import decompose
+    from syzkit.modules import ModMorphism
+
+    work = {"densified": [], "candidate_bases": [], "hom_morphisms": 0}
+    densify, candidate_endos, hom_basis = (ModMorphism._densify,
+                                           decompose._candidate_endos,
+                                           decompose.hom_basis)
+
+    def counted_densify(f):
+        work["densified"].append(f)
+        return densify(f)
+
+    def recorded_candidates(e, rng):
+        work["candidate_bases"].append(e.basis)
+        return candidate_endos(e, rng)
+
+    def counted_hom_basis(m, n):
+        basis = hom_basis(m, n)
+        work["hom_morphisms"] += len(basis)
+        return basis
+
+    monkeypatch.setattr(ModMorphism, "_densify", counted_densify)
+    monkeypatch.setattr(decompose, "_candidate_endos", recorded_candidates)
+    monkeypatch.setattr(decompose, "hom_basis", counted_hom_basis)
+    return work
+
+
+def test_local_end_rings_build_no_dense_hom_matrix(data_dir, monkeypatch, capsys):
+    """syzygy-type of loc.alg at budget 14: every End ring is local and read
+    on its top, so no Hom-basis morphism builds its dense matrices."""
+    work = _record_work(monkeypatch)
+    code, _ = run_command(["syzygy-type", "--algebra", f"{data_dir}/loc.alg",
+                           "--budget", "14"])
+    capsys.readouterr()
+    assert code == 2
+    assert work["hom_morphisms"] >= 1000
+    assert work["densified"] == []
+
+
+def test_golden_runs_densify_hom_morphisms_only_for_split_candidates(
+        data_dir, monkeypatch, capsys):
+    """Across the six golden runs, the only Hom-basis morphisms whose dense
+    matrices are built belong to End rings that go on to split candidates."""
+    work = _record_work(monkeypatch)
+    for name in sorted(GOLDEN_RUNS):
+        run_command([a.format(d=data_dir) for a in GOLDEN_RUNS[name]])
+    capsys.readouterr()
+    candidates = {id(f) for basis in work["candidate_bases"] for f in basis}
+    assert work["hom_morphisms"] >= 1000
+    assert work["densified"]
+    assert all(id(f) in candidates for f in work["densified"])
