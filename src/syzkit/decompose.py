@@ -32,10 +32,16 @@ Lux-Szoke, Computing decompositions of modules over finite-dimensional
 algebras, 2007.)
 
 split_once makes the one split decision (krull_schmidt and
-is_indecomposable call it) and takes three exact shortcuts before the
-general path: the minimal polynomial of a candidate endomorphism, read off
-one elimination over its tagged powers (minimal_polynomial), factored over
-Q by sympy, and m split along two coprime factors.
+is_indecomposable call it), by one rule per candidate endomorphism phi.  Its
+minimal polynomial p is read off one elimination over its tagged powers
+(minimal_polynomial); deg p <= 1 (phi a scalar) never splits.  Otherwise
+p = g1 g2 with g1 the power of p's first irreducible factor in the order
+factor_over_rationals lists them, and m = ker g1(phi) (+) ker g2(phi) when
+g2 != 1.  That order puts linear factors first, x - a before x - b for a > b,
+so when p has a rational root, g1 = (x - a)^k for the largest one a: the
+rational root theorem finds it and synthetic division takes it out, and
+sympy factors only a p with no rational root.  An idempotent (p = x^2 - x)
+splits as ker(phi - 1) (+) ker(phi).  Two exact shortcuts come first:
 
 * A module with a simple top or a simple socle is indecomposable without an
   End ring: End(m) -> End(top m) = Q (or End(soc m) = Q) is onto, and its
@@ -45,20 +51,24 @@ Q by sympy, and m split along two coprime factors.
   sum c_i f_i is radical iff sum c_i residue(f_i) = 0, and a product f o g
   iff the residue of f-bar g-bar is zero, so a radical candidate is never
   built.
-* A non-scalar idempotent splits as ker(phi - 1) (+) ker(phi) at once, the
-  pieces and order the general path gives for its minimal polynomial x^2 - x
-  (factor_over_rationals sorts x - 1 before x).
 
 Neither skip changes which candidate splits first, so the pieces, their order
-and the class ids built on them are those of the general path alone.
+and the class ids built on them are those of the rule alone.
+
+The trace pairing also names an isomorphism.  If tr(g-bar f-bar) != 0 for
+basis maps f: m -> n and g: n -> m, then g o f = lambda 1 + r with lambda != 0
+and r radical, a unit of the local ring End(m); so f is injective, and an
+isomorphism when m and n have equal dimensions (iso_witness).
 """
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity, SideMismatch,
-                     WitnessSearchExhausted, ZeroModuleError)
+from .errors import (AlgebraMismatch, ExtensionFieldAmbiguity,
+                     InternalConsistencyError, SideMismatch, ZeroModuleError)
 from .modules import (ModMorphism, hom_basis, identity_morphism, kernel_module,
                       socle_counts, top_counts, top_map)
 from .ratmat import Echelon, QMatrix, _ZERO, _int_row, echelon_from_rows, nullspace
@@ -232,7 +242,7 @@ def minimal_polynomial(phi):
             lead = row[width + k]
             return [Frac(row.get(width + i, 0), lead) for i in range(k + 1)]
         ech.insert(row)
-        power = [m * block for m, block in zip(mats, power)]
+        power = [m * block for m, block in zip(mats, power)] if k else mats
 
 
 def factor_over_rationals(p):
@@ -255,70 +265,101 @@ def factor_over_rationals(p):
     return out
 
 
+def _divisors(n):
+    """The positive divisors of a nonzero integer."""
+    n = abs(n)
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _largest_rational_root(p):
+    """The largest rational root of p (low-to-high coefficients), or None.
+    By the rational root theorem on the integer-scaled coefficients c_i, a
+    nonzero root s/t in lowest terms has s | c_j, c_j the lowest nonzero
+    coefficient, and t | c_n; 0 is a root iff c_0 = 0."""
+    scale = math.lcm(*(c.denominator for c in p))
+    c = [int(x * scale) for x in p]
+    low = next(j for j, x in enumerate(c) if x)
+    cands = {Frac(sign * s, t) for s in _divisors(c[low]) for t in _divisors(c[-1])
+             for sign in (1, -1)}
+    if low:
+        cands.add(_ZERO)
+    return next((a for a in sorted(cands, reverse=True) if not _divide_linear(p, a)[1]),
+                None)
+
+
+def _divide_linear(p, a):
+    """(q, r) with p = (x - a) q + r, by synthetic division."""
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out.append(c + a * out[-1])
+    r = out.pop()
+    return out[::-1], r
+
+
+def _coprime_factors(p):
+    """(g1, g2) with p = g1 g2, g1 the power of p's first irreducible factor
+    in the order factor_over_rationals lists them; None when p is a power of
+    one irreducible.  Linear factors come first there, x - a before x - b for
+    a > b, so a p with a rational root is split at its largest one, without
+    sympy."""
+    a = _largest_rational_root(p)
+    if a is None:
+        factors = factor_over_rationals(p)
+        if len(factors) < 2:
+            return None
+        (f, k), rest = factors[0], factors[1:]
+        return (functools.reduce(_poly_mul, [f] * k),
+                functools.reduce(_poly_mul, [g for g, j in rest for _ in range(j)]))
+    g1, g2 = [Frac(1)], p
+    while True:
+        q, r = _divide_linear(g2, a)
+        if r:
+            return (g1, g2) if len(g2) > 1 else None
+        g1, g2 = _poly_mul(g1, [-a, Frac(1)]), q
+
+
+def _plus_scalar(block, c):
+    """block + c 1; the rows are copied, so off-diagonal entries stay shared."""
+    data = [list(row) for row in block.data]
+    for i, row in enumerate(data):
+        row[i] += c
+    return QMatrix._of(block.nrows, block.ncols, data)
+
+
 def _poly_eval_morphism(p, phi):
-    """p(phi) as a morphism, evaluated per vertex by Horner."""
-    m = phi.source
+    """p(phi) for a monic p of degree >= 1, per vertex by Horner from the
+    leading coefficient: each lower coefficient goes on the diagonal, and a
+    product with phi follows all but the last, so a linear p costs none."""
     out = []
-    for v in range(len(m.dims)):
-        d = m.dims[v]
-        block = QMatrix.zeros(d, d)
-        ident = QMatrix.identity(d)
-        for c in reversed(p):
-            block = phi.mats[v] * block
-            if c:
-                block = block + ident.scale(c)
+    for a in phi.mats:
+        block = a
+        for k in range(len(p) - 2, -1, -1):
+            if p[k]:
+                block = _plus_scalar(block, p[k])
+            if k:
+                block = a * block
         out.append(block)
-    return ModMorphism(m, m, out, validate=False)
+    return ModMorphism(phi.source, phi.source, out, validate=False)
 
 
 # -- splitting -----------------------------------------------------------------
 
 
-def _is_scalar(phi):
-    m = phi.source
-    total = m.total_dim
-    if total == 0:
-        return True
-    c = phi.trace() / total
-    ident = identity_morphism(m)
-    return all((phi.mats[v] - ident.mats[v].scale(c)).is_zero()
-               for v in range(len(m.dims)))
-
-
 def _split_by_endo(m, phi):
-    """Split m along a coprime factorization of phi's minimal polynomial."""
+    """m = ker g1(phi) (+) ker g2(phi) for the coprime factors g1 g2 of phi's
+    minimal polynomial (_coprime_factors), or None."""
     p = minimal_polynomial(phi)
-    if len(p) <= 2:
+    factors = _coprime_factors(p) if len(p) > 2 else None
+    if factors is None:
         return None
-    factors = factor_over_rationals(p)
-    if len(factors) < 2:
-        return None
-    g1 = [Frac(1)]
-    for _ in range(factors[0][1]):
-        g1 = _poly_mul(g1, factors[0][0])
-    g2 = [Frac(1)]
-    for fac, mult in factors[1:]:
-        for _ in range(mult):
-            g2 = _poly_mul(g2, fac)
-    piece1, _ = kernel_module(_poly_eval_morphism(g1, phi))
-    piece2, _ = kernel_module(_poly_eval_morphism(g2, phi))
+    piece1, piece2 = (kernel_module(_poly_eval_morphism(g, phi))[0] for g in factors)
     if piece1.is_zero() or piece2.is_zero():
         return None
     # coprime polynomial kernels meet in zero, so matching vertex dimensions
     # certify the direct-sum decomposition
     if any(a + b != c for a, b, c in zip(piece1.dims, piece2.dims, m.dims)):
         return None
-    return piece1, piece2
-
-
-def _split_by_idempotent(phi):
-    """m = ker(phi - 1) (+) ker(phi) for a non-scalar idempotent phi: the
-    pieces _split_by_endo gives for x^2 - x, from phi - 1 and phi as they
-    are rather than evaluated by Horner."""
-    m = phi.source
-    shifted = [mat - QMatrix.identity(mat.nrows) for mat in phi.mats]
-    piece1, _ = kernel_module(ModMorphism(m, m, shifted, validate=False))
-    piece2, _ = kernel_module(phi)
     return piece1, piece2
 
 
@@ -370,10 +411,6 @@ def split_once(m):
         return None
     rng = random.Random(_SPLIT_SEED)
     for phi in _candidate_endos(e, rng):
-        if _is_scalar(phi):
-            continue
-        if phi.compose(phi).mats == phi.mats:
-            return _split_by_idempotent(phi)
         pieces = _split_by_endo(m, phi)
         if pieces is not None:
             return pieces
@@ -411,20 +448,26 @@ def krull_schmidt(m):
 # -- isomorphism testing -------------------------------------------------------
 
 
-def _trace_pairing_nonzero(m, n):
-    """True iff tr(g-bar f-bar) != 0 on top(m) for some f: m -> n and
-    g: n -> m, m and n indecomposable (module docstring).  A forward map with
-    zero top pairs to zero with every g, so Hom(n, m) is solved only when
-    some forward top is nonzero."""
-    fwd = [_transpose(x) for x in map(top_map, hom_basis(m, n)) if x]
+def _trace_pairing_witness(m, n):
+    """The first basis map f: m -> n with tr(g-bar f-bar) != 0 on top(m) for
+    some basis map g: n -> m, or None when the pairing vanishes; for m and n
+    indecomposable it is None iff they are not isomorphic (module
+    docstring).  A forward map with zero top pairs to zero with every g, so
+    Hom(n, m) is solved only when some forward top is nonzero."""
+    basis = hom_basis(m, n)
+    fwd = [(f, _transpose(x)) for f, x in zip(basis, map(top_map, basis)) if x]
     if not fwd:
-        return False
+        return None
     bwd = [top_map(g) for g in hom_basis(n, m)]
-    return any(_sparse_dot(g, f) for f in fwd for g in bwd)
+    return next((f for f, x in fwd if any(_sparse_dot(g, x) for g in bwd)), None)
 
 
-def is_isomorphic(m, n, check=True):
-    """Trace-pairing isomorphism test for indecomposable modules."""
+def _trace_pairing_nonzero(m, n):
+    """True iff the trace pairing of m and n is nonzero (_trace_pairing_witness)."""
+    return _trace_pairing_witness(m, n) is not None
+
+
+def _check_pair(m, n, check):
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     if m.side != n.side:
@@ -433,34 +476,24 @@ def is_isomorphic(m, n, check=True):
         raise ZeroModuleError("iso test needs nonzero indecomposables")
     if check:
         if not is_indecomposable(m) or not is_indecomposable(n):
-            raise ValueError("is_isomorphic requires indecomposable modules")
-    if m.dims != n.dims:
-        return False
-    return _trace_pairing_nonzero(m, n)
+            raise ValueError("the isomorphism test requires indecomposable modules")
 
 
-def iso_witness(m, n, tries=200, seed=0xBEEF):
-    """An explicit invertible morphism m -> n, assuming is_isomorphic(m, n).
+def is_isomorphic(m, n, check=True):
+    """Trace-pairing isomorphism test for indecomposable modules."""
+    _check_pair(m, n, check)
+    return m.dims == n.dims and _trace_pairing_nonzero(m, n)
 
-    Searches random small-integer combinations of the Hom basis, then an
-    exhaustive coarse grid for Hom dimension <= 3; raises
-    WitnessSearchExhausted when the certified isomorphism has no witness in
-    the searched set.
-    """
-    basis = hom_basis(m, n)
-    rng = random.Random(seed)
-    k = len(basis)
-    for f in basis:
-        if f.is_isomorphism():
-            return f
-    grid = itertools.product(range(-2, 3), repeat=k) if k <= 3 else ()
-    random_tries = ([rng.randint(-3, 3) for _ in range(k)] for _ in range(tries))
-    for coeffs in itertools.chain(random_tries, grid):
-        cand = _linear_combination(coeffs, basis)
-        if cand is not None and cand.is_isomorphism():
-            return cand
-    raise WitnessSearchExhausted(
-        "isomorphism holds by the trace test but no invertible combination was found")
+
+def iso_witness(m, n):
+    """An isomorphism m -> n of indecomposable modules, or None when they are
+    not isomorphic: the basis map the trace pairing names (module docstring).
+    Raises InternalConsistencyError if that map is not invertible."""
+    _check_pair(m, n, True)
+    f = _trace_pairing_witness(m, n) if m.dims == n.dims else None
+    if f is not None and not f.is_isomorphism():
+        raise InternalConsistencyError("the trace pairing names a map that is not invertible")
+    return f
 
 
 def modules_isomorphic(m, n):

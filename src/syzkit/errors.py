@@ -41,11 +41,6 @@ class ExtensionFieldAmbiguity(SyzkitError):
     """
 
 
-class WitnessSearchExhausted(SyzkitError):
-    """Isomorphism certified by the trace pairing, but no explicit invertible
-    morphism was found within the search budget."""
-
-
 class CatalogOpen(SyzkitError):
     """An operation required a closed syzygy catalog but the catalog is still open."""
 

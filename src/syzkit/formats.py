@@ -177,46 +177,45 @@ def parse_algebra_source(text):
     return quiver, relations
 
 
-def _parse_quiver_block(p):
+def _parse_quiver_block(p, valued=False):
+    """The `quiver {}` block of .alg as a Quiver, or with valued=True the
+    `valued_quiver {}` block of .ord, whose arrows carry `@ value`, as a
+    ValuedQuiver: one vertices entry and at most one arrows entry."""
     open_tok = p.peek()
+    block = "valued_quiver" if valued else "quiver"
     p.expect_sym("{")
-    vertices = None
-    arrows = []
-    saw_arrows = False
+    vertices, arrows, values, seen = None, [], {}, set()
     while not p.at_sym("}"):
         key = p.expect_word("key")
         p.expect_sym(":")
+        if key.text not in ("vertices", "arrows"):
+            p.fail(f"unknown {block} key {key.text!r}", key)
+        if key.text in seen:
+            p.fail(f"duplicate {key.text} entry", key)
+        seen.add(key.text)
         if key.text == "vertices":
-            if vertices is not None:
-                p.fail("duplicate vertices entry", key)
             vertices = []
             while not p.at_sym(";"):
                 vertices.append(p.expect_word("vertex label").text)
-            p.expect_sym(";")
-        elif key.text == "arrows":
-            if saw_arrows:
-                p.fail("duplicate arrows entry", key)
-            saw_arrows = True
+        else:
             while not p.at_sym(";"):
                 name = p.expect_word("arrow name").text
                 p.expect_sym(":")
                 src = p.expect_word("source vertex").text
                 p.expect_sym("->")
-                tgt_tok = p.peek()
-                if tgt_tok.kind != "word":
-                    p.fail("missing target vertex", tgt_tok)
-                tgt = p.next().text
-                arrows.append((name, src, tgt))
+                arrows.append((name, src, p.expect_word("target vertex").text))
+                if valued:
+                    p.expect_sym("@")
+                    values[name] = p.integer("value")
                 if p.at_sym(","):
                     p.next()
-            p.expect_sym(";")
-        else:
-            p.fail(f"unknown quiver key {key.text!r}", key)
+        p.expect_sym(";")
     p.expect_sym("}")
     if vertices is None:
-        raise ParseError("quiver block needs a vertices entry", 1, 1)
+        p.fail(f"{block} block needs a vertices entry", open_tok)
     try:
-        return Quiver(vertices, arrows)
+        quiver = Quiver(vertices, arrows)
+        return ValuedQuiver(quiver, values) if valued else quiver
     except IllFormedRelation as exc:
         raise ParseError(str(exc), open_tok.line, open_tok.col) from exc
 
@@ -519,52 +518,13 @@ def parse_order(text):
         elif key.text == "valued_quiver":
             if result is not None:
                 p.fail("order block already has content", key)
-            result = _parse_valued_quiver_block(p)
+            result = _parse_quiver_block(p, valued=True)
         else:
             p.fail(f"unknown order key {key.text!r}", key)
     p.expect_sym("}")
     if result is None:
         raise ParseError("order block defines no content", 1, 1)
     return result
-
-
-def _parse_valued_quiver_block(p):
-    open_tok = p.peek()
-    p.expect_sym("{")
-    vertices = None
-    arrows = []
-    values = {}
-    while not p.at_sym("}"):
-        key = p.expect_word("key")
-        p.expect_sym(":")
-        if key.text == "vertices":
-            vertices = []
-            while not p.at_sym(";"):
-                vertices.append(p.expect_word("vertex label").text)
-            p.expect_sym(";")
-        elif key.text == "arrows":
-            while not p.at_sym(";"):
-                name = p.expect_word("arrow name").text
-                p.expect_sym(":")
-                src = p.expect_word("source").text
-                p.expect_sym("->")
-                tgt = p.expect_word("target").text
-                p.expect_sym("@")
-                val = p.integer("value")
-                arrows.append((name, src, tgt))
-                values[name] = val
-                if p.at_sym(","):
-                    p.next()
-            p.expect_sym(";")
-        else:
-            p.fail(f"unknown valued_quiver key {key.text!r}", key)
-    p.expect_sym("}")
-    if vertices is None:
-        raise ParseError("valued_quiver block needs vertices")
-    try:
-        return ValuedQuiver(Quiver(vertices, arrows), values)
-    except IllFormedRelation as exc:
-        raise ParseError(str(exc), open_tok.line, open_tok.col) from exc
 
 
 def emit_order_exponents(exponents):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -120,6 +122,40 @@ def test_is_isomorphic_identity_witness(ex_five):
     assert is_isomorphic(p, p)
     w = iso_witness(p, p)
     assert w.is_isomorphism()
+
+
+def test_iso_witness_on_every_registry_hit_of_the_ex46_report(data_dir, monkeypatch):
+    """On every registry hit of `order report ex46.ord --budget 8` the map the
+    trace pairing names is an isomorphism, and two registered classes of
+    equal dimensions have no witness."""
+    import contextlib
+    import io
+
+    from syzkit.cli import run_command
+
+    hits = []
+    pairing = decompose._trace_pairing_nonzero
+
+    def recorded(m, n):
+        nonzero = pairing(m, n)
+        if nonzero:
+            hits.append((m, n))
+        return nonzero
+
+    monkeypatch.setattr(decompose, "_trace_pairing_nonzero", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = run_command(["order", "report", os.path.join(data_dir, "ex46.ord"),
+                               "--budget", "8"])
+    assert code == 0 and len(hits) > 40
+    for m, n in hits:
+        w = iso_witness(m, n)
+        assert (w.source, w.target) == (m, n)
+        w.verify()
+        assert w.is_isomorphism()
+    classes = registry_for(hits[0][0].algebra, hits[0][0].side).classes
+    apart = [(a.module, b.module) for a, b in itertools.combinations(classes, 2)
+             if a.dims == b.dims]
+    assert apart and all(iso_witness(m, n) is None for m, n in apart)
 
 
 def test_is_isomorphic_distinguishes(ex_five):
@@ -567,6 +603,45 @@ def test_krull_schmidt_matches_the_unshortened_split_loop():
         krull_schmidt(w)
 
 
+def test_relabelled_pool_pieces_match_the_unshortened_split_loop(monkeypatch):
+    """The benchmark's algebra pool (pool seed 1) under the labellings of run
+    seeds 1-3 and 13, whose x^2 + x candidate once sent a split to sympy:
+    every module the pool jobs decompose gives the pieces of the frozen
+    reference loop, the jobs give their recorded answers, and nothing is
+    factored by sympy."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    import workloads
+
+    with open(os.path.join(bench, "expected.json")) as fh:
+        spec = json.load(fh)["algebra_pool"]
+    decomposed, polys = [], []
+
+    def recorded(original, out):
+        def wrapper(arg):
+            result = original(arg)
+            out.append((arg, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(decompose, "krull_schmidt", recorded(krull_schmidt, decomposed))
+    monkeypatch.setattr(decompose, "_coprime_factors",
+                        recorded(decompose._coprime_factors, polys))
+    factored = _count_calls(monkeypatch, "factor_over_rationals")
+    for seed in (1, 2, 3, 13):
+        work = workloads.PoolWorkload(1, spec["size"], seed, spec["answers"]["1"])
+        for job in work.run_pass(work.next_inputs()):
+            assert job.error is None and work.check(job) is None
+    assert factored == []
+    assert [0, 1, 1] in [p for p, g in polys if g is not None]
+    splits = 0
+    for mod, got in decomposed:
+        want = _reference_krull_schmidt(mod)
+        assert [(p.dims, p.act) for p in got] == [(p.dims, p.act) for p in want]
+        splits += len(got) > 1
+    assert splits > 500
+
+
 def test_candidates_are_the_reference_stream_minus_the_radical():
     """The split loop's candidates are the unpruned stream with exactly the
     elements phi of rad End(m) removed, read here as tr(phi o b) = 0 for every
@@ -803,8 +878,10 @@ def test_local_and_colocal_modules_skip_the_end_ring(monkeypatch):
     assert colocal_only > 0     # the socle test is reached, not only the top
 
 
-def test_sum_of_two_projectives_splits_without_minimal_polynomials(monkeypatch):
-    calls = _count_calls(monkeypatch, "minimal_polynomial")
+def test_sum_of_two_projectives_splits_without_sympy(monkeypatch):
+    """P_u (+) P_v splits along an idempotent, x^2 - x, whose roots the
+    rational root theorem finds: sympy never factors."""
+    calls = _count_calls(monkeypatch, "factor_over_rationals")
     splits = 0
     for alg in randgen.algebra_pool(0x5F, 4) + [cases.five_vertex_monomial_algebra()]:
         verts = alg.quiver.vertices
@@ -822,7 +899,8 @@ def test_sum_of_two_projectives_splits_without_minimal_polynomials(monkeypatch):
 def test_non_idempotent_split_keeps_the_minimal_polynomial_path(monkeypatch):
     # b = [[1, 1], [0, 2]] has minimal polynomial (x - 1)(x - 2) like the
     # diagonal module of test_edge_cases.py, but End's basis element read off
-    # the Hom system is not idempotent (x^2 + x), so the general path splits it
+    # the Hom system is not idempotent (x^2 + x); the split is read off its
+    # minimal polynomial all the same
     from syzkit.algebra import Quiver, build_algebra
     from syzkit.modules import RepModule
     from syzkit.ratmat import QMatrix
@@ -835,6 +913,57 @@ def test_non_idempotent_split_keeps_the_minimal_polynomial_path(monkeypatch):
     assert [p.dims for p in pieces] == [(1, 1), (1, 1)]
     assert len(calls) >= 1
     assert [p.act for p in pieces] == [p.act for p in _reference_krull_schmidt(m)]
+
+
+def _sympy_coprime_factors(p):
+    """(g1, g2) from factor_over_rationals: the power of its first factor and
+    the product of the others, or None for a power of one irreducible."""
+    factors = factor_over_rationals(p)
+    if len(factors) < 2:
+        return None
+    g1 = [Fraction(1)]
+    for _ in range(factors[0][1]):
+        g1 = _reference_poly_mul(g1, factors[0][0])
+    g2 = [Fraction(1)]
+    for fac, mult in factors[1:]:
+        for _ in range(mult):
+            g2 = _reference_poly_mul(g2, fac)
+    return g1, g2
+
+
+def test_coprime_factors_match_the_sympy_factor_order(monkeypatch):
+    """On seeded monic products of rational linear factors x - s/t and
+    factors without a rational root (x^2 + 1, x^2 - 2, x^2 - 1/3, x^3 - 2,
+    x^4 + 1, ...), each with multiplicity 1..3: the same g1 and g2, in the
+    same order, as factor_over_rationals, which is called only for a
+    polynomial with no rational root."""
+    rootless = [[1, 0, 1], [-2, 0, 1], [1, 1, 1], [Fraction(-1, 3), 0, 1],
+                [5, Fraction(3, 2), 1], [-2, 0, 0, 1], [3, -1, 0, 1], [1, 0, 0, 0, 1]]
+    rootless = [[Fraction(c) for c in f] for f in rootless]
+    calls = _count_calls(monkeypatch, "factor_over_rationals")
+    rng = random.Random(0x90)
+    kinds = {"rational split": 0, "sympy split": 0, "one factor": 0}
+    for _ in range(400):
+        p = [Fraction(1)]
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.7:
+                fac = [Fraction(-rng.randint(-6, 6), rng.randint(1, 4)), Fraction(1)]
+            else:
+                fac = rng.choice(rootless)
+            for _ in range(rng.randint(1, 3)):
+                p = _reference_poly_mul(p, fac)
+        if len(p) <= 2:
+            continue
+        before = len(calls)
+        got = decompose._coprime_factors(p)
+        assert got == _sympy_coprime_factors(p)
+        has_root = any(len(fac) == 2 for fac, _ in factor_over_rationals(p))
+        assert len(calls) - before == (not has_root)
+        kinds["one factor" if got is None else
+              "rational split" if has_root else "sympy split"] += 1
+    assert sum(kinds.values()) >= 300
+    assert kinds["rational split"] > 150 and kinds["sympy split"] > 5
+    assert kinds["one factor"] > 20
 
 
 def _minimal_polynomial_cases():

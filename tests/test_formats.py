@@ -171,6 +171,39 @@ def test_non_integer_fields_are_positioned_parse_errors(ex_five, text, where, wh
     assert f"bad {what}" in str(err.value)
 
 
+_VALUED = "order {\n  valued_quiver {\n    vertices: 1 2;\n"
+
+
+@pytest.mark.parametrize("text, where, what", [
+    (_VALUED + "    vertices: 1 2 3;\n  }\n}\n", (4, 5), "duplicate vertices entry"),
+    (_VALUED + "    arrows: a: 1 -> 2 @ 1;\n    arrows: b: 2 -> 1 @ 1;\n  }\n}\n",
+     (5, 5), "duplicate arrows entry"),
+    (_VALUED + "    colour: red;\n  }\n}\n", (4, 5), "unknown valued_quiver key"),
+    (_VALUED + "    arrows: a: 1 -> 2;\n  }\n}\n", (4, 22), "expected '@'"),
+    ("order {\n  valued_quiver {\n    arrows: ;\n  }\n}\n", (2, 17),
+     "valued_quiver block needs a vertices entry"),
+    ("quiver {\n  vertices: 1 2;\n  vertices: 1 2 3;\n}\n", (3, 3),
+     "duplicate vertices entry"),
+    ("quiver {\n  vertices: 1 2;\n  arrows: a: 1 -> 2;\n  arrows: b: 2 -> 1;\n}\n",
+     (4, 3), "duplicate arrows entry"),
+    ("quiver {\n  vertices: 1 2;\n  arrows: a: 1 -> 2 @ 1;\n}\n", (3, 21),
+     "expected arrow name"),
+    ("quiver {\n  arrows: ;\n}\n", (1, 8), "quiver block needs a vertices entry"),
+], ids=["ord-vertices-twice", "ord-arrows-twice", "ord-unknown-key", "ord-no-value",
+        "ord-no-vertices", "alg-vertices-twice", "alg-arrows-twice", "alg-value",
+        "alg-no-vertices"])
+def test_quiver_blocks_share_one_parser(text, where, what):
+    """.alg quiver {} and .ord valued_quiver {} take one vertices entry and
+    one arrows entry; only the order's arrows carry `@ value`."""
+    with pytest.raises(ParseError) as err:
+        if text.startswith("order"):
+            parse_order(text)
+        else:
+            parse_algebra_source(text)
+    assert (err.value.line, err.value.column) == where
+    assert what in str(err.value)
+
+
 def test_cokernel_with_no_covers_is_a_positioned_parse_error(ex_five):
     text = "module {\n  side: left;\n  cokernel {\n    covers: ;\n  }\n}\n"
     with pytest.raises(ParseError) as err:
