@@ -402,28 +402,6 @@ class AlgebraPresentation:
         self._mul_cache[key] = out
         return out
 
-    def element_normal_form(self, terms):
-        """Normal form of a rational combination of paths.
-
-        terms: iterable of (coeff, source_vertex, names).  Returns a dict
-        basis_index -> coeff with zero entries dropped.
-        """
-        out = {}
-        for coeff, source, names in terms:
-            coeff = Fraction(coeff)
-            names = tuple(names)
-            self.quiver.path_target(source, names)
-            cls = self.class_of(source, names)
-            if cls is None:
-                continue
-            c, idx = cls
-            val = out.get(idx, Fraction(0)) + coeff * c
-            if val:
-                out[idx] = val
-            else:
-                out.pop(idx, None)
-        return out
-
     def dim_pair(self, target, source):
         """dim of e_target * Lambda * e_source = paths source -> target."""
         return sum(1 for i in self.basis_by_source[source]

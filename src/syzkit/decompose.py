@@ -276,16 +276,31 @@ def _largest_rational_root(p):
     """The largest rational root of p (low-to-high coefficients), or None.
     By the rational root theorem on the integer-scaled coefficients c_i, a
     nonzero root s/t in lowest terms has s | c_j, c_j the lowest nonzero
-    coefficient, and t | c_n; 0 is a root iff c_0 = 0."""
+    coefficient, and t | c_n; 0 is a root iff c_0 = 0.  Every root z has
+    |z| <= 1 + max_{i<n} |c_i / c_n| (Cauchy), so larger candidates are
+    skipped, and s/t is a root iff the integer sum_{i>=j} c_i s^(i-j) t^(n-i)
+    is 0, evaluated by Horner."""
     scale = math.lcm(*(c.denominator for c in p))
-    c = [int(x * scale) for x in p]
+    c = [x.numerator * (scale // x.denominator) for x in p]
     low = next(j for j, x in enumerate(c) if x)
-    cands = {Frac(sign * s, t) for s in _divisors(c[low]) for t in _divisors(c[-1])
-             for sign in (1, -1)}
-    if low:
-        cands.add(_ZERO)
-    return next((a for a in sorted(cands, reverse=True) if not _divide_linear(p, a)[1]),
+    q = c[low:]
+    lead = abs(q[-1])
+    bound = lead + max((abs(x) for x in q[:-1]), default=0)   # |s/t| <= bound/lead
+    tops = _divisors(lead)
+    positive = sorted((Frac(s, t) for s in _divisors(q[0]) for t in tops
+                       if s * lead <= t * bound and math.gcd(s, t) == 1), reverse=True)
+    cands = positive + ([_ZERO] if low else []) + [-a for a in reversed(positive)]
+    return next((a for a in cands if a == 0 or _is_root(q, a.numerator, a.denominator)),
                 None)
+
+
+def _is_root(q, s, t):
+    """True iff s/t is a root of the integer polynomial q (low-to-high)."""
+    h, tp = q[-1], 1
+    for x in reversed(q[:-1]):
+        tp *= t
+        h = h * s + x * tp
+    return h == 0
 
 
 def _divide_linear(p, a):

@@ -14,7 +14,7 @@ from .errors import IllFormedRelation, ParseError
 from .modules import (RepModule, path_images, projective_images, projective_layout,
                       projective_module, quotient_by_span, simple_module)
 from .orders import ExponentMatrix, ValuedQuiver
-from .ratmat import Echelon, QMatrix, _int_row
+from .ratmat import QMatrix, _int_row, echelon_from_rows
 
 Frac = Fraction
 
@@ -450,7 +450,7 @@ def _build_cokernel(algebra, side, payload):
     """P / (the submodule generated by the kill elements), P the sum of the
     projectives at the covers, kept as data: P's layout and arrow images
     (modules.projective_layout, projective_images), each generator's orbit
-    under the basis paths (modules.path_images) in one Echelon per vertex,
+    under the basis paths (modules.path_images) in one elimination per vertex,
     and the quotient read off those bases (modules.quotient_by_span)."""
     covers = payload["covers"]
     for v in covers:
@@ -460,7 +460,7 @@ def _build_cokernel(algebra, side, payload):
     dims, images = projective_images(eng, layout)
     # per copy: basis index -> (target vertex index, column in the sum)
     columns = [{i: (tv, col) for i, tv, col in entries} for entries in layout]
-    echelons = [Echelon() for _ in dims]
+    rows = [[] for _ in dims]
     for terms in payload["kills"]:
         gen = {}    # the generator per vertex of P, as {column: x}
         for coeff, names, copy in terms:
@@ -479,8 +479,9 @@ def _build_cokernel(algebra, side, payload):
             orbit = path_images(eng, y, eng.basis_by_source[eng.quiver.vertices[v]], images)
             for i, z in orbit.items():
                 if z:
-                    echelons[eng.quiver.index[eng.basis[i].target]].insert(_int_row(z))
-    quo = quotient_by_span(algebra, side, dims, [e.rref_rows() for e in echelons], images)
+                    rows[eng.quiver.index[eng.basis[i].target]].append(_int_row(z))
+    quo = quotient_by_span(algebra, side, dims,
+                           [echelon_from_rows(r).rref_rows() for r in rows], images)
     quo.verify()
     return quo
 

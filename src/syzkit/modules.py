@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from .errors import (AlgebraMismatch, DimensionMismatch, IllFormedRelation,
                      SideMismatch)
-from .ratmat import (_ONE, _ZERO, Echelon, QMatrix, _int_row, _null_basis,
+from .ratmat import (_ONE, _ZERO, QMatrix, _int_row, _null_basis,
                      echelon_from_rows, kernel_rref)
 
 Frac = Fraction
@@ -226,14 +226,6 @@ class ModMorphism:
     def is_isomorphism(self):
         return (self.source.dims == self.target.dims
                 and all(m.is_invertible() for m in self.mats))
-
-    def flatten(self):
-        """All entries as one tuple (vertex-major, row-major); basis for Hom coordinates."""
-        out = []
-        for m in self.mats:
-            for row in m.data:
-                out.extend(row)
-        return tuple(out)
 
 
 def identity_morphism(m):
@@ -569,17 +561,14 @@ def _radical_of(m, bases):
     (engine view), each image pushed through the arrow's column nonzeros."""
     eng = m.engine_presentation()
     idx = eng.quiver.index
-    echelons = [Echelon() for _ in m.dims]
+    rows = [[] for _ in m.dims]
     for a in eng.quiver.arrows:
         s, t = idx[a.source], idx[a.target]
         if not bases[s] or not m.dims[t]:
             continue
         cols = m.act[a.name].column_entries()
-        for _, y in bases[s]:
-            row = _int_row(_push(y, cols))
-            if row:
-                echelons[t].insert(row)
-    return tuple(e.rref_rows() for e in echelons)
+        rows[t].extend(_int_row(_push(y, cols)) for _, y in bases[s])
+    return tuple(echelon_from_rows(r).rref_rows() for r in rows)
 
 
 def _radical_record(m):

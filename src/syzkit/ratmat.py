@@ -6,6 +6,11 @@ bignum work small even for the commutant systems that show up when
 endomorphism rings of 20+-dimensional modules are computed.  Reduction
 follows the nonzeros: a row visits only the pivot columns it meets, and
 back-substitution only the later pivots among a row's own keys.
+
+echelon_from_rows (under rank, nullspace, kernel_rref and rowspace_contains)
+inserts its rows shortest first, so it promises only what no row order can
+change: the rank, the reduced echelon form and row-space membership.  A
+caller whose tagged rows record the insertion order uses an Echelon itself.
 """
 
 from bisect import insort
@@ -29,19 +34,17 @@ def _int_row(entries):
     for v in row.values():
         d = v.denominator
         denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = {c: v.numerator * (denom_lcm // v.denominator) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    return _reduce_ints({c: v.numerator * (denom_lcm // v.denominator)
+                         for c, v in row.items()})
 
 
 def _reduce_ints(row):
+    """The row divided by the gcd of its entries."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            return row
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
@@ -67,27 +70,51 @@ class Echelon:
         self.by_col = {}   # pivot column -> row; row[col] != 0, every key >= col
 
     def reduce(self, row):
-        """Fully reduce an integer row against the current pivots.
+        """Fully reduce an integer row against the current pivots; the
+        argument is not changed.
 
         Visits only the pivot columns the row meets, in ascending order: a
-        heap holds the row's pivot columns, and each pivot row used pushes its
-        own pivot columns above its pivot.  A pivot row has no key below its
-        pivot, so this is the same sequence of combinations as probing every
-        pivot in turn."""
+        heap holds the row's pivot columns, and each pivot row used pushes
+        its own pivot columns that are new to the row.  A pivot row has no
+        key below its pivot, so this is the same sequence of combinations as
+        probing every pivot in turn.  They run in one copy of the row:
+        against pivot entry p the row is scaled by p/g (g = gcd(p, a), a its
+        entry there) only when that is not 1, and the content is divided out
+        once at the end.  Each step is a positive multiple of the _combine
+        step, so the result is the same coprime row."""
         by_col = self.by_col
         heap = [c for c in row if c in by_col]
+        if not heap:
+            return row
         heapify(heap)
+        row = dict(row)
         while heap:
             col = heappop(heap)
             a = row.get(col)
             if not a:
                 continue
             prow = by_col[col]
-            row = _combine(row, prow[col], prow, -a)
-            for c in prow:
-                if c > col and c in by_col:
-                    heappush(heap, c)
-        return row
+            p = prow[col]
+            if p != 1:
+                g = gcd(p, a)
+                a //= g
+                s = p // g
+                if s != 1:
+                    for k in row:
+                        row[k] *= s
+            for k, v in prow.items():
+                w = row.get(k)
+                if w is None:       # a new key, so above col
+                    row[k] = -a * v
+                    if k in by_col:
+                        heappush(heap, k)
+                else:
+                    w -= a * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+        return _reduce_ints(row)
 
     def insert(self, row):
         """Reduce and insert; returns True if the row enlarged the space."""
@@ -126,10 +153,13 @@ class Echelon:
 
 
 def echelon_from_rows(int_rows):
+    """The Echelon of the nonzero integer rows, in any order, inserted
+    shortest first by a stable sort on the number of nonzeros (Markowitz;
+    structured Gaussian elimination).  Only the rank, rref_rows() and
+    membership through reduce are promised; no order changes them."""
     ech = Echelon()
-    for r in int_rows:
-        if r:
-            ech.insert(dict(r))
+    for r in sorted((r for r in int_rows if r), key=len):
+        ech.insert(r)
     return ech
 
 
@@ -307,19 +337,6 @@ class QMatrix:
                             orow[j] += a * b
         return out
 
-    def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
-        if len(vec) != self.ncols:
-            raise DimError(f"vector length {len(vec)} vs {self.ncols} columns")
-        out = [_ZERO] * self.nrows
-        for i, row in enumerate(self.data):
-            s = _ZERO
-            for a, x in zip(row, vec):
-                if a and x:
-                    s += a * x
-            out[i] = s
-        return out
-
     def transpose(self):
         if not self.nrows:
             return QMatrix(self.ncols, 0)
@@ -351,6 +368,6 @@ def rowspace_contains(a, b):
         raise DimError(f"column count mismatch: {a.ncols} vs {b.ncols}")
     ech = echelon_from_rows(b._int_rows())
     for row in a._int_rows():
-        if ech.reduce(dict(row)):
+        if ech.reduce(row):
             return False
     return True

@@ -50,9 +50,6 @@ class SyzygyCatalog:
     def registry(self):
         return registry_for(self.algebra, self.side)
 
-    def closure_degree(self):
-        return max(self.first_seen.values(), default=0)
-
     # -- occurrence dynamics --------------------------------------------------
 
     def _require_closed(self):

@@ -98,6 +98,37 @@ def dense_rows(bases, dims):
             for basis, d in zip(bases, dims)]
 
 
+def element_normal_form(alg, terms):
+    """Normal form of a rational combination of paths of alg: terms are
+    (coeff, source vertex, names), and the result is {basis index: coeff}
+    with zero entries dropped."""
+    out = {}
+    for coeff, source, names in terms:
+        names = tuple(names)
+        alg.quiver.path_target(source, names)
+        cls = alg.class_of(source, names)
+        if cls is not None:
+            c, idx = cls
+            val = out.get(idx, 0) + Fraction(coeff) * c
+            if val:
+                out[idx] = val
+            else:
+                out.pop(idx, None)
+    return out
+
+
+def apply(a, vec):
+    """The matrix a times the column vector vec (a plain list)."""
+    if len(vec) != a.ncols:
+        raise DimensionMismatch(f"vector length {len(vec)} vs {a.ncols} columns")
+    return [sum((x * y for x, y in zip(row, vec) if x and y), _ZERO) for row in a.data]
+
+
+def flatten(f):
+    """All entries of a morphism as one tuple (vertex-major, row-major)."""
+    return tuple(x for m in f.mats for row in m.data for x in row)
+
+
 # -- the dense solve family: frozen references for differential tests ---------
 
 

@@ -146,7 +146,7 @@ def random_module(rng, alg, side, max_dim=20):
                 b = eng.basis[i]
                 if not b.names:
                     continue  # quotient by radical elements only
-                img = total.path_action(vlabel, b.names).apply(vec)
+                img = _apply(total.path_action(vlabel, b.names), vec)
                 if any(img):
                     rows[eng.quiver.index[b.target]].append(img)
         vertex_rows = [QMatrix.from_rows(rows[v], ncols=total.dims[v])
@@ -157,6 +157,11 @@ def random_module(rng, alg, side, max_dim=20):
             quo.verify()
             return quo
     return projective_module(alg, verts[0], side)
+
+
+def _apply(a, vec):
+    """The matrix a times the column vector vec."""
+    return [sum((x * y for x, y in zip(row, vec) if x and y), Fraction(0)) for row in a.data]
 
 
 def algebra_pool(seed, count):

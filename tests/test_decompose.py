@@ -483,7 +483,7 @@ def _krylov_minimal_polynomial(phi):
                 break
             if global_ech.insert(dict(row)):
                 covered += 1
-            vec = [a.apply(v) for a, v in zip(phi.mats, vec)]
+            vec = [cases.apply(a, v) for a, v in zip(phi.mats, vec)]
         k = len(local_rows) - 1
         sol = solve_right(QMatrix.from_rows(local_rows[:k], ncols=total).transpose(),
                           local_rows[k]) if k else []

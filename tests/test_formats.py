@@ -245,7 +245,7 @@ def _frozen_cokernel(algebra, side, payload):
             vlabel = eng.quiver.vertices[v]
             for i in eng.basis_by_source[vlabel]:
                 b = eng.basis[i]
-                img = total.path_action(vlabel, b.names).apply(acc[v])
+                img = cases.apply(total.path_action(vlabel, b.names), acc[v])
                 if any(img):
                     rows[eng.quiver.index[b.target]].append(img)
     vertex_rows = [QMatrix.from_rows(rows[v], ncols=total.dims[v])

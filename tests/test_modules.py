@@ -156,11 +156,11 @@ def test_hom_between_simples(ex_five):
 def test_end_contains_identity(ex_five):
     m = projective_module(ex_five, "4", "left")
     basis = hom_basis(m, m)
-    flat_rows = QMatrix.from_rows([list(f.flatten()) for f in basis],
-                                  ncols=len(basis[0].flatten()))
+    flat_rows = QMatrix.from_rows([list(cases.flatten(f)) for f in basis],
+                                  ncols=len(cases.flatten(basis[0])))
     from syzkit.modules import identity_morphism
 
-    ident = list(identity_morphism(m).flatten())
+    ident = list(cases.flatten(identity_morphism(m)))
     assert solve_right(flat_rows.transpose(), ident) is not None
 
 
@@ -257,8 +257,8 @@ def test_projective_layout_matches_direct_sum_inclusions():
                 top = [0] * proj.dims[eng.quiver.index[v]]
                 top[0] = 1  # the trivial path leads the projective's basis
                 for i, tv, col in entries:
-                    local = proj.path_action(v, eng.basis[i].names).apply(top)
-                    ambient = incl.mats[tv].apply(local)
+                    local = cases.apply(proj.path_action(v, eng.basis[i].names), top)
+                    ambient = cases.apply(incl.mats[tv], local)
                     assert ambient == [int(r == col) for r in range(len(ambient))]
 
 
@@ -630,7 +630,7 @@ def _frozen_layered_graph(m):
         if t not in basis_mats:
             continue
         for pos, (layer, vec) in enumerate(adapted[s]):
-            img = m.act[a.name].apply(vec)
+            img = cases.apply(m.act[a.name], vec)
             if not any(img):
                 continue
             coords = solve_right(basis_mats[t], img)
@@ -729,7 +729,8 @@ def _generated_rows(rng, m):
         vec = [Fraction(rng.randint(-2, 2)) for _ in range(m.dims[v])]
         for i in eng.basis_by_source[verts[v]]:
             b = eng.basis[i]
-            rows[eng.quiver.index[b.target]].append(m.path_action(verts[v], b.names).apply(vec))
+            rows[eng.quiver.index[b.target]].append(
+                cases.apply(m.path_action(verts[v], b.names), vec))
     return [QMatrix.from_rows(r, ncols=d) if r else QMatrix.zeros(0, d)
             for r, d in zip(rows, m.dims)]
 

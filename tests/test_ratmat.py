@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from syzkit.errors import DimensionMismatch
-from syzkit.ratmat import (Echelon, QMatrix, _combine, _int_row, kernel_rref,
-                           nullspace, rowspace_contains)
+from syzkit.ratmat import (Echelon, QMatrix, _combine, _int_row, echelon_from_rows,
+                           kernel_rref, nullspace, rowspace_contains)
 
-from cases import inverse, pivot_columns, row_space, solve_columns, solve_right, vstack
+import randgen
+from cases import apply, inverse, pivot_columns, row_space, solve_columns, solve_right, vstack
 
 
 def test_rank_identity_and_zero():
@@ -46,7 +47,7 @@ def test_kernel_product_vanishes_exactly():
         k = m.kernel_rows()
         assert m.rank() + k.nrows == 5
         for i in range(k.nrows):
-            assert all(v == 0 for v in m.apply(k.row(i)))
+            assert all(v == 0 for v in apply(m, k.row(i)))
 
 
 def test_rowspace_contains_trivia():
@@ -73,7 +74,7 @@ def test_rowspace_dimension_mismatch():
 def test_solve_right():
     a = QMatrix.from_rows([[1, 2], [3, 4]])
     x = solve_right(a, [Fraction(1), Fraction(1)])
-    assert a.apply(x) == [Fraction(1), Fraction(1)]
+    assert apply(a, x) == [Fraction(1), Fraction(1)]
     singular = QMatrix.from_rows([[1, 1], [1, 1]])
     assert solve_right(singular, [Fraction(0), Fraction(1)]) is None
 
@@ -253,6 +254,53 @@ def test_echelon_matches_dense_probe_reference(kind):
         assert new.rref_rows() == old.rref_rows()
         deficient += new.rank < len(rows)
     assert deficient >= 100
+
+
+def _hom_systems():
+    """(ncols, integer rows) of the End systems _hom_equations(m, m) of seeded
+    random modules over seeded monomial and binomial algebras, both sides."""
+    from syzkit.modules import _hom_equations
+
+    rng = random.Random(0x0F2)
+    for alg in randgen.algebra_pool(0x0F1, 8) + randgen.binomial_pool(0x0F4, 4):
+        for side in ("left", "right"):
+            m = randgen.random_module(rng, alg, side)
+            rows, _, total = _hom_equations(m, m)
+            yield total, rows
+
+
+def _up_to_sign(row):
+    """A reduced row with its lowest key made positive: rows of different
+    echelon bases reduce a probe to the same line, but their pivot signs may
+    differ."""
+    return {k: -v for k, v in row.items()} if row and row[min(row)] < 0 else row
+
+
+def test_echelon_from_rows_does_not_depend_on_row_order():
+    """echelon_from_rows promises only what the row order cannot change: the
+    rows as given, reversed and shuffled give the same rank, the same RREF
+    and the same reduce answers on probes (members reduce to zero, other rows
+    to the same line), on random sparse systems of all three kinds and on
+    End systems of random modules."""
+    rng = random.Random(0x0F3)
+    systems = [_random_sparse_system(rng, kind) for kind in ("deficient", "big", "duplicates")
+               for _ in range(60)] + list(_hom_systems())
+    members = 0
+    for ncols, rows in systems:
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        echs = [echelon_from_rows(order) for order in (rows, rows[::-1], shuffled)]
+        assert len({e.rank for e in echs}) == 1
+        want = echs[0].rref_rows()
+        assert all(e.rref_rows() == want for e in echs[1:])
+        probes = [_int_row(_random_sparse_row(rng, ncols, False)) for _ in range(3)]
+        for r in rng.sample(rows, min(len(rows), 3)):
+            probes.append(_int_row({k: 2 * v for k, v in r.items()}))
+        for probe in probes:
+            got = [_up_to_sign(e.reduce(probe)) for e in echs]
+            assert got[1:] == got[:1] * 2
+            members += not got[0]
+    assert members >= 300
 
 
 def test_kernel_rref_is_the_row_space_of_the_null_space():

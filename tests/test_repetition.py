@@ -217,7 +217,7 @@ def test_catalog_closure_is_stable(ex_five, five_catalog):
     known = set(five_catalog.classes)
     simples = [simple_module(ex_five, v, "right") for v in ex_five.quiver.vertices]
     total, _, _ = direct_sum(simples)
-    depth = five_catalog.closure_degree() + 5
+    depth = max(five_catalog.first_seen.values(), default=0) + 5
     trace = resolve(total, depth)
     for rec in trace.records:
         assert set(rec.classes) <= known
