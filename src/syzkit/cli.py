@@ -15,7 +15,7 @@ from .errors import SyzkitError
 from .formats import (emit_algebra, emit_valued_quiver, parse_algebra,
                       parse_module, parse_order)
 from .graphs import layered_graph
-from .homology import (DEFAULT_BUDGET, injective_cogenerator, pdim, resolve,
+from .homology import (DEFAULT_BUDGET, injective_indecomposables, pdim, resolve,
                        semisimple_quotient)
 from .modules import simple_module
 from .orders import (ExponentMatrix, gldim_certificate, order_report,
@@ -44,10 +44,12 @@ def _load_module(spec, algebra, side=None):
 
 
 def _root_module(args, algebra):
+    """The --t root: a .mod or simple:<vertex> module, or the summands of
+    Lambda/J or of the injective cogenerator (build_catalog takes either)."""
     if args.t == "lambda-mod-j":
         return semisimple_quotient(algebra, args.side), "semisimple quotient"
     if args.t == "cogenerator":
-        return injective_cogenerator(algebra, args.side), "injective cogenerator"
+        return injective_indecomposables(algebra, args.side), "injective cogenerator"
     return _load_module(args.t, algebra, args.side), args.t
 
 

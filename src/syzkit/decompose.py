@@ -555,8 +555,12 @@ class IsoClass:
 class IsoClassRegistry:
     """Registry of indecomposable iso classes for one (algebra, side) pair.
 
-    Two registered modules share an id iff they are isomorphic.  Mutations
-    (register) must be serialized by the caller; reads are safe.
+    Two registered modules share an id iff they are isomorphic.  register
+    compares a module with the classes of its dimension vector in id order:
+    equal arrow matrices are a hit, different top counts (an isomorphism
+    invariant) a miss, and only the rest pay for the trace pairing.  At most
+    one class can match, so the id is the one the pairing alone gives.
+    Mutations (register) must be serialized by the caller; reads are safe.
     """
 
     def __init__(self, algebra, side):
@@ -578,7 +582,10 @@ class IsoClassRegistry:
             raise SideMismatch(f"{module.side} module in a {self.side}-module registry")
         key = module.dims
         for cls in self._by_dims.get(key, ()):
-            if _trace_pairing_nonzero(cls.module, module):
+            if cls.module.act == module.act:
+                return cls.id
+            if (top_counts(cls.module) == top_counts(module)
+                    and _trace_pairing_nonzero(cls.module, module)):
                 return cls.id
         cls = IsoClass(len(self.classes), module)
         self.classes.append(cls)

@@ -23,7 +23,9 @@ dimension shift, dim Ext^i(m, n) = dim Hom(Omega^i m, n) - dim Hom(P_{i-1}, n)
 + dim Hom(Omega^{i-1} m, n), each Hom dimension the rank count of the one Hom
 system of modules.  The root modules that the CLI and findim_bounds share,
 the semisimple quotient and the injective cogenerator, are built here once
-each (semisimple_quotient, injective_cogenerator).
+each, as the lists of their indecomposable summands (semisimple_quotient,
+injective_indecomposables): a catalog classifies a root piece by piece, so
+neither direct sum is formed or split again.
 """
 
 from collections import deque
@@ -33,7 +35,7 @@ from functools import cached_property
 from .decompose import registry_for
 from .errors import (BadBudget, InternalConsistencyError, SideMismatch,
                      ZeroModuleError)
-from .modules import (ModMorphism, RepModule, TensorSpace, direct_sum, hom_dim,
+from .modules import (ModMorphism, RepModule, TensorSpace, hom_dim,
                       module_from_images, path_images, projective_images,
                       projective_layout, projective_module, simple_module,
                       span_inclusion, span_module, top_columns)
@@ -393,22 +395,17 @@ def pdim(m, budget=DEFAULT_BUDGET):
 
 def injective_indecomposables(algebra, side):
     """The indecomposable injectives of the given side, as duals of the
-    opposite-side projectives (vertex order)."""
+    opposite-side projectives (vertex order): the summands of the minimal
+    injective cogenerator."""
     other = "right" if side == "left" else "left"
     return [projective_module(algebra, v, other).dual()
             for v in algebra.quiver.vertices]
 
 
 def semisimple_quotient(algebra, side):
-    """Lambda/J as a module of the given side: the simples, in vertex order."""
-    return direct_sum([simple_module(algebra, v, side)
-                       for v in algebra.quiver.vertices])[0]
-
-
-def injective_cogenerator(algebra, side):
-    """The minimal injective cogenerator of the given side: the
-    indecomposable injectives, in vertex order."""
-    return direct_sum(injective_indecomposables(algebra, side))[0]
+    """Lambda/J as a module of the given side, as its summands: the simples,
+    in vertex order."""
+    return [simple_module(algebra, v, side) for v in algebra.quiver.vertices]
 
 
 def idim_both_sides(algebra, budget=DEFAULT_BUDGET):

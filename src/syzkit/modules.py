@@ -671,11 +671,6 @@ def socle_counts(m):
                  for v, d in zip(eng.quiver.vertices, m.dims))
 
 
-def contains_full_semisimple(m):
-    """True iff every simple embeds in m, i.e. the socle hits every vertex."""
-    return all(c >= 1 for c in socle_counts(m))
-
-
 # -- Hom spaces ---------------------------------------------------------------
 
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import registry_for
-from .errors import (BadBudget, CatalogOpen, InternalConsistencyError,
-                     SideMismatch)
-from .homology import (DEFAULT_BUDGET, explore_classes, injective_cogenerator,
-                       injective_indecomposables, pdim, recurrence_chain,
-                       semisimple_quotient, tor1_dim)
-from .modules import (RepModule, contains_full_semisimple, simple_module,
+from .errors import (BadBudget, CatalogOpen, DimensionMismatch,
+                     InternalConsistencyError, SideMismatch)
+from .homology import (DEFAULT_BUDGET, explore_classes, injective_indecomposables,
+                       pdim, recurrence_chain, semisimple_quotient, tor1_dim)
+from .modules import (RepModule, projective_module, simple_module, socle_counts,
                       tensor_dim, top_counts)
 from .ratmat import QMatrix, rowspace_contains
 
@@ -30,6 +29,7 @@ Frac = Fraction
 class SyzygyCatalog:
     """Iso-class registry of syzygy summands of one root module.
 
+    degree0 is the root's class multiset (empty for the zero module);
     classes: ids in registration order (first-seen degree, then dimension
     vector); projective classes are included and flagged through the registry.
     edges[c] is the class multiset of the first syzygy of c (absent for
@@ -38,7 +38,6 @@ class SyzygyCatalog:
 
     algebra: object
     side: str
-    root: RepModule
     degree0: dict          # class_id -> multiplicity in the root
     classes: list          # registration order
     first_seen: dict       # class_id -> least degree of occurrence
@@ -102,20 +101,37 @@ class SyzygyCatalog:
                 "reaches_target_via": tail}
 
 
-def build_catalog(t, budget=DEFAULT_BUDGET):
-    """Resolve t and close its syzygy classes under first syzygies.
+def _full_socle(pieces):
+    """True iff every simple embeds in the direct sum of the pieces: the
+    socle of a sum is the sum of the socles."""
+    return all(map(any, zip(*map(socle_counts, pieces))))
 
+
+def build_catalog(t, budget=DEFAULT_BUDGET):
+    """Resolve the root t and close its syzygy classes under first syzygies.
+
+    t is a module, or the nonempty list of modules whose direct sum is the
+    root; a root known by its summands is never formed and split again.
+    Each piece is classified on its own, last piece first, and the class
+    multisets are added up.  Last first is the order krull_schmidt gives the
+    sums of simples, indecomposable injectives and indecomposable
+    projectives of the data files, so their class ids are those of the sum.
     The closure runs breadth-first on classes by first-occurrence degree;
     classes first seen beyond the budget leave the catalog open (flagged).
     """
     if budget < 1:
         raise BadBudget("budget must be >= 1")
-    reg = registry_for(t.algebra, t.side)
-    degree0 = reg.classify(t) if not t.is_zero() else {}
+    pieces = [t] if isinstance(t, RepModule) else list(t)
+    if not pieces:
+        raise DimensionMismatch("a root needs at least one piece")
+    reg = registry_for(pieces[0].algebra, pieces[0].side)
+    degree0 = {}
+    for piece in reversed(pieces):
+        for c, mult in reg.classify(piece).items():
+            degree0[c] = degree0.get(c, 0) + mult
     order, first_seen, edges, closed = explore_classes(reg, degree0, budget)
-    return SyzygyCatalog(t.algebra, t.side, t, degree0, order, first_seen,
-                         edges, closed, budget,
-                         contains_full_semisimple(t) if not t.is_zero() else False)
+    return SyzygyCatalog(reg.algebra, reg.side, degree0, order, first_seen,
+                         edges, closed, budget, _full_socle(pieces))
 
 
 # -- the headline invariants ----------------------------------------------------
@@ -153,7 +169,7 @@ def syzygy_type(catalog):
 def repetition_index(catalog):
     """Least degree k at which every non-projective summand class of the k-th
     syzygy recurs at infinitely many degrees."""
-    if catalog.root.is_zero():
+    if not catalog.degree0:
         return Outcome("finite", 0, {"kind": "zero-module"})
     if not catalog.closed:
         return Outcome("open", None)
@@ -407,15 +423,16 @@ class FinDimReport:
 
 def _test_module_side(algebra, module_side):
     """Root modules whose repetition indices bound the (other side's) big
-    finitistic dimension: the semisimple quotient, the minimal injective
-    cogenerator, and (when the semisimple quotient embeds) the regular module."""
-    from .modules import regular_module
-
+    finitistic dimension, each as the list of its indecomposable summands:
+    the semisimple quotient, the minimal injective cogenerator, and (when
+    the semisimple quotient embeds) the regular module."""
+    projectives = [projective_module(algebra, v, module_side)
+                   for v in algebra.quiver.vertices]
     roots = [("semisimple-quotient", semisimple_quotient(algebra, module_side), True),
-             ("injective-cogenerator", injective_cogenerator(algebra, module_side), False)]
-    reg = regular_module(algebra, module_side)
-    if contains_full_semisimple(reg):
-        roots.append(("regular-module", reg, False))
+             ("injective-cogenerator", injective_indecomposables(algebra, module_side),
+              False)]
+    if _full_socle(projectives):
+        roots.append(("regular-module", projectives, False))
     return roots
 
 

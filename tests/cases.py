@@ -3,10 +3,14 @@ and frozen dense references that differential tests compare against."""
 
 from fractions import Fraction
 
+from syzkit import decompose
 from syzkit.algebra import Quiver, Relation, build_algebra
+from syzkit.decompose import IsoClass, IsoClassRegistry, registry_for
 from syzkit.errors import DimensionMismatch
-from syzkit.modules import radical_filtration
-from syzkit.orders import ExponentMatrix, ValuedQuiver, valued_quiver_from_exponents
+from syzkit.formats import parse_algebra, parse_order
+from syzkit.modules import RepModule, direct_sum, radical_filtration, socle_counts
+from syzkit.orders import (ExponentMatrix, ValuedQuiver, presentation_from_valued_quiver,
+                           valued_quiver_from_exponents)
 from syzkit.ratmat import _ZERO, QMatrix, _int_row, echelon_from_rows
 
 
@@ -201,7 +205,6 @@ def nullspace_quotient(m, vertex_rows):
     null-space vectors of the submodule's rows as the projection's rows and
     the unit vectors at their free columns as the section; each arrow acts
     by the dense triple product projection * action * section."""
-    from syzkit.modules import RepModule
     from syzkit.ratmat import nullspace
 
     eng = m.engine_presentation()
@@ -261,3 +264,50 @@ def dense_hom_basis(m, n):
                                      for i in range(n.dims[v])]))
         basis.append(ModMorphism(m, n, mats, validate=False))
     return basis
+
+
+def data_algebra(path):
+    """A fresh algebra from a .alg file, or the residue algebra of a .ord file."""
+    with open(path) as fh:
+        text = fh.read()
+    if not path.endswith(".ord"):
+        return parse_algebra(text)
+    order = parse_order(text)
+    if not isinstance(order, ValuedQuiver):
+        order = valued_quiver_from_exponents(order)
+    return presentation_from_valued_quiver(order)
+
+
+class PairingOnlyRegistry(IsoClassRegistry):
+    """The registry's lookup before it read cheap invariants first: a module
+    is compared with every class of its dimension vector, in id order, by
+    the trace pairing alone (pairing, decompose._trace_pairing_nonzero when
+    None), and the first nonzero pairing names its class."""
+
+    def __init__(self, algebra, side, pairing=None):
+        super().__init__(algebra, side)
+        self.pairing = pairing or decompose._trace_pairing_nonzero
+
+    def register(self, module):
+        for cls in self._by_dims.get(module.dims, ()):
+            if self.pairing(cls.module, module):
+                return cls.id
+        cls = IsoClass(len(self.classes), module)
+        self.classes.append(cls)
+        self._by_dims.setdefault(module.dims, []).append(cls)
+        return cls.id
+
+
+def summed_catalog(t, budget):
+    """build_catalog before roots came as summands: a list of pieces is
+    summed, and the sum goes whole through krull_schmidt."""
+    from syzkit.homology import explore_classes
+    from syzkit.repetition import SyzygyCatalog
+
+    m = t if isinstance(t, RepModule) else direct_sum(list(t))[0]
+    reg = registry_for(m.algebra, m.side)
+    degree0 = reg.classify(m) if not m.is_zero() else {}
+    order, first_seen, edges, closed = explore_classes(reg, degree0, budget)
+    full_socle = not m.is_zero() and all(c >= 1 for c in socle_counts(m))
+    return SyzygyCatalog(m.algebra, m.side, degree0, order, first_seen, edges,
+                         closed, budget, full_socle)

@@ -6,9 +6,7 @@ import pytest
 
 from syzkit.algebra import Quiver, Relation, build_algebra
 from syzkit.errors import IllFormedRelation, NotNilpotent
-from syzkit.formats import parse_algebra, parse_order
-from syzkit.orders import (ValuedQuiver, presentation_from_valued_quiver,
-                           valued_quiver_from_exponents)
+from syzkit.orders import presentation_from_valued_quiver
 
 import cases
 import randgen
@@ -173,20 +171,10 @@ def _assert_opposite_is_reversed_closure(a):
     assert op.opposite() is a
 
 
-def _order_presentation(text):
-    order = parse_order(text)
-    if not isinstance(order, ValuedQuiver):
-        order = valued_quiver_from_exponents(order)
-    return presentation_from_valued_quiver(order)
-
-
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(DATA)
                                         if n.endswith((".alg", ".ord"))))
 def test_derived_opposite_matches_closure_on_data_files(name):
-    with open(os.path.join(DATA, name)) as fh:
-        text = fh.read()
-    a = _order_presentation(text) if name.endswith(".ord") else parse_algebra(text)
-    _assert_opposite_is_reversed_closure(a)
+    _assert_opposite_is_reversed_closure(cases.data_algebra(os.path.join(DATA, name)))
 
 
 @pytest.mark.parametrize("make", [cases.six_vertex_order_quiver, cases.gorenstein_order_quiver])

@@ -125,28 +125,37 @@ def test_is_isomorphic_identity_witness(ex_five):
 
 
 def test_iso_witness_on_every_registry_hit_of_the_ex46_report(data_dir, monkeypatch):
-    """On every registry hit of `order report ex46.ord --budget 8` the map the
-    trace pairing names is an isomorphism, and two registered classes of
-    equal dimensions have no witness."""
+    """Every registry hit of `order report ex46.ord --budget 8` is the hit of
+    the frozen pairing-only registry, replayed on the same modules; on each
+    the map the trace pairing names is an isomorphism, and two registered
+    classes of equal dimensions have no witness."""
     import contextlib
     import io
 
     from syzkit.cli import run_command
 
-    hits = []
-    pairing = decompose._trace_pairing_nonzero
+    calls = []
+    register = decompose.IsoClassRegistry.register
 
-    def recorded(m, n):
-        nonzero = pairing(m, n)
-        if nonzero:
-            hits.append((m, n))
-        return nonzero
+    def recorded(reg, module):
+        cid = register(reg, module)
+        calls.append((reg, module, cid))
+        return cid
 
-    monkeypatch.setattr(decompose, "_trace_pairing_nonzero", recorded)
+    monkeypatch.setattr(decompose.IsoClassRegistry, "register", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         code, _ = run_command(["order", "report", os.path.join(data_dir, "ex46.ord"),
                                "--budget", "8"])
-    assert code == 0 and len(hits) > 40
+    monkeypatch.undo()
+    assert code == 0
+    replay, hits = {}, []
+    for reg, module, cid in calls:
+        frozen = replay.setdefault(id(reg), cases.PairingOnlyRegistry(reg.algebra, reg.side))
+        known = len(frozen)
+        assert frozen.register(module) == cid
+        if len(frozen) == known:
+            hits.append((frozen.by_id(cid).module, module))
+    assert len(hits) > 40
     for m, n in hits:
         w = iso_witness(m, n)
         assert (w.source, w.target) == (m, n)
@@ -548,8 +557,8 @@ def _split_test_modules():
     rng = random.Random(0x5D)
     for alg in algebras:
         for side in ("left", "right"):
-            for _, root, _ in _test_module_side(alg, side):
-                yield root
+            for _, pieces, _ in _test_module_side(alg, side):
+                yield direct_sum(pieces)[0]
             for v in alg.quiver.vertices:
                 omega = syzygy(simple_module(alg, v, side))
                 for _ in range(2):
@@ -651,7 +660,7 @@ def test_candidates_are_the_reference_stream_minus_the_radical():
         for side in ("left", "right"):
             omegas = [syzygy(simple_module(alg, v, side)) for v in alg.quiver.vertices]
             mods += [m for m in omegas if not m.is_zero()]
-            mods.append(_test_module_side(alg, side)[-1][1])
+            mods.append(direct_sum(_test_module_side(alg, side)[-1][1])[0])
     kept, skipped = set(), set()
     for mod in mods:
         e = end_ring(mod)
@@ -714,10 +723,10 @@ def _stream_keys(e, candidates):
     return [phi if isinstance(phi, tuple) else phi.mats for phi in candidates]
 
 
-def _registry_ids(groups):
+def _registry_ids(groups, registry=decompose.IsoClassRegistry):
     out = []
     for alg, side, mods in groups:
-        reg = decompose.IsoClassRegistry(alg, side)
+        reg = registry(alg, side)
         out.append([sorted(reg.classify(m).items()) for m in mods])
         out.append([c.dims for c in reg.classes])
     return out
@@ -767,15 +776,17 @@ def _full_module_pairing(outcomes):
     return nonzero
 
 
-def test_top_pairing_matches_the_full_module_pairing(data_dir, monkeypatch):
-    """Registry ids and class dims are those of the frozen full-module trace
-    pairing, over monomial, binomial and tiled-order pools and the syzygies
-    of loc.alg."""
+def test_top_pairing_matches_the_full_module_pairing(data_dir):
+    """Registry ids and class dims are those of the frozen pairing-only
+    registry running the frozen full-module trace pairing on every class of
+    equal dimensions, over monomial, binomial and tiled-order pools and the
+    syzygies of loc.alg."""
     groups = list(_top_first_groups(data_dir))
     got = _registry_ids(groups)
     outcomes = []
-    monkeypatch.setattr(decompose, "_trace_pairing_nonzero", _full_module_pairing(outcomes))
-    assert got == _registry_ids(groups)
+    pairing = _full_module_pairing(outcomes)
+    assert got == _registry_ids(
+        groups, lambda alg, side: cases.PairingOnlyRegistry(alg, side, pairing))
     assert outcomes.count(True) > 100 and outcomes.count(False) > 20
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import os
+
 import pytest
 
+from syzkit import cli, repetition
 from syzkit.decompose import registry_for
-from syzkit.errors import CatalogOpen
+from syzkit.errors import CatalogOpen, DimensionMismatch, SyzkitError
 from syzkit.homology import pdim, resolve, syzygy
-from syzkit.modules import direct_sum, projective_module, simple_module
+from syzkit.modules import direct_sum, projective_module, simple_module, zero_module
 from syzkit.ratmat import QMatrix, rowspace_contains
 from syzkit.repetition import (build_catalog, build_transition_system,
                                contingency, findim_bounds, pdim_from_transition,
@@ -12,6 +17,7 @@ from syzkit.repetition import (build_catalog, build_transition_system,
                                tor_count_vector)
 
 import cases
+import randgen
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +245,110 @@ def test_local_algebra_findim_zero(ex_local):
     assert fin.left.upper == 0 and fin.right.upper == 0
     assert fin.left.lower == 0 and fin.left.exact
     assert fin.right.lower == 0 and fin.right.exact
+
+
+def test_roots_given_as_pieces(ex_three_loop):
+    """A bare module is a one-piece root; a zero root has repetition index 0
+    and no full socle, given bare or as zero pieces; a root needs a piece."""
+    s = simple_module(ex_three_loop, "3", "right")
+    bare, listed = build_catalog(s, 4), build_catalog([s], 4)
+    assert (bare.degree0, bare.classes, bare.edges, bare.root_has_full_socle) == (
+        listed.degree0, listed.classes, listed.edges, listed.root_has_full_socle)
+    zero = zero_module(ex_three_loop, "right")
+    for root in (zero, [zero, zero]):
+        cat = build_catalog(root, 4)
+        assert cat.degree0 == {} and not cat.root_has_full_socle
+        assert repetition_index(cat).describe() == "finite(0)"
+    with pytest.raises(DimensionMismatch):
+        build_catalog([], 4)
+
+
+DATA_ALGEBRAS = sorted(n for n in os.listdir(os.path.join(os.path.dirname(__file__), "data"))
+                       if n.endswith((".alg", ".ord")))
+
+
+def _seeded_algebras():
+    """24 seeded algebras: monomial, binomial and tiled-order residue algebras."""
+    from syzkit.orders import presentation_from_valued_quiver, valued_quiver_from_exponents
+
+    return (randgen.algebra_pool(0x90, 8) + randgen.binomial_pool(0x91, 8)
+            + [presentation_from_valued_quiver(valued_quiver_from_exponents(lam))
+               for lam in randgen.tiled_order_pool(0x92, 8)])
+
+
+def _findim(alg, budget, monkeypatch, build=build_catalog):
+    """findim_bounds with its catalogs from build: the report as a dict, or
+    the error class it raises (a seeded binomial algebra has a module whose
+    End/rad is Q(sqrt 3)), and the catalogs' root_has_full_socle flags."""
+    flags = []
+
+    def recorded(*args):
+        catalog = build(*args)
+        flags.append(catalog.root_has_full_socle)
+        return catalog
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repetition, "build_catalog", recorded)
+        try:
+            return findim_bounds(alg, budget).to_dict(), flags
+        except SyzkitError as exc:
+            return type(exc), flags
+
+
+def _class_dims(alg):
+    return [[c.dims for c in registry_for(alg, side).classes] for side in ("left", "right")]
+
+
+def test_findim_roots_by_summands_match_the_summed_roots(data_dir, monkeypatch):
+    """findim_bounds on roots given by their summands equals the frozen
+    reference that sums each root and splits the sum with krull_schmidt: on
+    every data-file algebra and order, where the registries also hold the
+    same classes (dims in id order), and on 24 seeded algebras, where the
+    pieces may register in another order than the sum splits (labels move,
+    answers do not)."""
+    for name in DATA_ALGEBRAS:
+        path = os.path.join(data_dir, name)
+        alg, ref = cases.data_algebra(path), cases.data_algebra(path)
+        assert _findim(alg, 8, monkeypatch) == _findim(
+            ref, 8, monkeypatch, cases.summed_catalog), name
+        assert _class_dims(alg) == _class_dims(ref), name
+    moved = answers = 0
+    for alg, ref in zip(_seeded_algebras(), _seeded_algebras()):
+        got = _findim(alg, 6, monkeypatch)
+        assert got == _findim(ref, 6, monkeypatch, cases.summed_catalog)
+        moved += _class_dims(alg) != _class_dims(ref)
+        answers += isinstance(got[0], dict)
+    assert moved and answers > 20
+
+
+def test_cli_cogenerator_roots_match_the_summed_roots(data_dir, tmp_path, monkeypatch):
+    """rep-index, syzygy-type and bmatrix with --t cogenerator, both sides,
+    on every data-file algebra and order (through `order ingest`): the same
+    --out JSON as with the frozen summed-root catalog."""
+    paths = []
+    for name in DATA_ALGEBRAS:
+        path = os.path.join(data_dir, name)
+        if name.endswith(".ord"):
+            derived = str(tmp_path / (name + ".alg"))
+            assert cli.run_command(["order", "ingest", path, "--out-alg", derived])[0] == 0
+            path = derived
+        paths.append(path)
+    out = tmp_path / "out.json"
+
+    def report(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = cli.run_command(argv + ["--out", str(out)])
+        return code, out.read_text()
+
+    runs = 0
+    for path in paths:
+        for side in ("left", "right"):
+            for command in ("rep-index", "syzygy-type", "bmatrix"):
+                argv = [command, "--algebra", path, "--t", "cogenerator",
+                        "--side", side, "--budget", "8"]
+                got = report(argv)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "build_catalog", cases.summed_catalog)
+                    assert got == report(argv), argv
+                runs += got[0] == 0
+    assert runs > 30

@@ -137,3 +137,45 @@ def test_golden_runs_densify_hom_morphisms_only_for_split_candidates(
     assert work["hom_morphisms"] >= 1000
     assert work["densified"]
     assert all(id(f) in candidates for f in work["densified"])
+
+
+def test_golden_runs_classify_roots_by_summands_and_pair_only_undecided_classes(
+        data_dir, monkeypatch, capsys):
+    """Across the six golden runs, no End ring is built on a root assembled
+    from its known summands (the sums of simples, of indecomposable
+    injectives and of indecomposable projectives that findim_bounds and the
+    CLI take as roots), and the registry runs the trace pairing only on a
+    class of equal top counts and different arrow matrices: 18 pairings in
+    all, the rest of its lookups settled by those two invariants."""
+    from syzkit import decompose
+    from syzkit.modules import direct_sum, top_counts
+    from syzkit.repetition import _test_module_side
+
+    rings, pairs = [], []
+    end_ring, pairing = decompose.end_ring, decompose._trace_pairing_nonzero
+
+    def recorded_end_ring(m):
+        rings.append(m)
+        return end_ring(m)
+
+    def recorded_pairing(m, n):
+        pairs.append((m, n))
+        return pairing(m, n)
+
+    monkeypatch.setattr(decompose, "end_ring", recorded_end_ring)
+    monkeypatch.setattr(decompose, "_trace_pairing_nonzero", recorded_pairing)
+    for name in sorted(GOLDEN_RUNS):
+        run_command([a.format(d=data_dir) for a in GOLDEN_RUNS[name]])
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(rings) > 100
+    sums = {}
+    for m in rings:
+        if id(m.algebra) not in sums:
+            sums[id(m.algebra)] = [
+                direct_sum(pieces)[0] for side in ("left", "right")
+                for _, pieces, _ in _test_module_side(m.algebra, side)]
+        assert not any((m.side, m.dims, m.act) == (t.side, t.dims, t.act)
+                       for t in sums[id(m.algebra)])
+    assert len(pairs) == 18
+    assert all(top_counts(m) == top_counts(n) and m.act != n.act for m, n in pairs)
